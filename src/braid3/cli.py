@@ -8,9 +8,10 @@ Subcommands
   verify       check two words for equality in B3, or recheck a certificate
   batch        run the invariant pipeline over a name,word CSV file
 
-Exit codes: 0 success, 1 a verification answered false, 2 parse error,
-3 precondition failure, 4 internal inconsistency.  The environment
-variable BRAID3_MAX_WORD_LEN (default 10^6) bounds accepted input length.
+Exit codes: 0 success, 1 a verification answered false, 2 parse error or
+unreadable certificate, 3 precondition failure, 4 internal inconsistency.
+The environment variable BRAID3_MAX_WORD_LEN (default 10^6) bounds accepted
+input length.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .burau import fingerprint, words_equal
@@ -35,15 +37,7 @@ from .cobordism import (
 )
 from .invariants import InvariantReport, IntInterval, NotAKnotError, build_report
 from .normal_form import (
-    GarsideA,
-    GarsideB,
-    GarsideC,
-    GarsideD,
     InternalInconsistencyError,
-    MurasugiGeneric,
-    MurasugiHalfTwist,
-    MurasugiPower,
-    MurasugiTorus,
     form_display,
     garside_normal_form,
     murasugi_normal_form,
@@ -68,24 +62,8 @@ def _interval_json(iv: IntInterval | None):
 
 
 def _form_json(form) -> dict:
-    out: dict = {"display": form_display(form)}
-    if isinstance(form, GarsideA):
-        out.update(case="A", ell=form.ell, p=form.p)
-    elif isinstance(form, GarsideB):
-        out.update(case="B", ell=form.ell, p=form.p)
-    elif isinstance(form, GarsideC):
-        out.update(case="C", ell=form.ell, pairs=[list(pq) for pq in form.pairs])
-    elif isinstance(form, GarsideD):
-        out.update(case="D", ell=form.ell, pairs=[list(pq) for pq in form.pairs], p_r=form.p_r)
-    elif isinstance(form, MurasugiPower):
-        out.update(case="power", ell=form.ell, p=form.p)
-    elif isinstance(form, MurasugiHalfTwist):
-        out.update(case="half-twist", ell=form.ell)
-    elif isinstance(form, MurasugiTorus):
-        out.update(case="torus", ell=form.ell, variant=form.variant)
-    elif isinstance(form, MurasugiGeneric):
-        out.update(case="generic", ell=form.ell, pairs=[list(pq) for pq in form.pairs])
-    return out
+    # the form's fields in declaration order; pair tuples dump as JSON arrays
+    return {"display": form_display(form), "case": form.case, **asdict(form)}
 
 
 def report_json(report: InvariantReport) -> dict:
@@ -113,12 +91,12 @@ def report_json(report: InvariantReport) -> dict:
     }
 
 
+#: only the identity's forms, case A and the power form with l = p = 0, display as ""
+_IDENTITY_TEXT = {"A": "identity (case A, ℓ=0, p=0)", "power": "identity (power form, ℓ=0, p=0)"}
+
+
 def _identity_text(form) -> str:
-    if isinstance(form, GarsideA) and form.ell == 0 and form.p == 0:
-        return "identity (case A, ℓ=0, p=0)"
-    if isinstance(form, MurasugiPower) and form.ell == 0 and form.p == 0:
-        return "identity (power form, ℓ=0, p=0)"
-    return form_display(form)
+    return form_display(form) or _IDENTITY_TEXT[form.case]
 
 
 def cmd_normalize(args) -> int:
@@ -231,8 +209,12 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.cert:
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            cert = certificate_from_json(json.load(fh))
+        try:
+            with open(args.cert, "r", encoding="utf-8") as fh:
+                cert = certificate_from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"bad certificate {args.cert}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         result = verify_cobordism(cert)
         print(json.dumps({"verified": bool(result), "reasons": list(result.reasons)}))
         return EXIT_OK if result else EXIT_FALSE
@@ -269,7 +251,7 @@ def cmd_batch(args) -> int:
                     raise ParseError("missing word column", 1)
                 report = build_report(parse(text))
                 record.update(report_json(report))
-            except (ParseError, ValueError) as exc:
+            except (ValueError, InternalInconsistencyError) as exc:
                 record["error"] = str(exc)
                 errors += 1
             processed += 1

@@ -31,11 +31,12 @@ from .normal_form import (
     MurasugiForm,
     MurasugiGeneric,
     MurasugiTorus,
+    delta_exponent,
+    form_tail,
     garside_normal_form,
     murasugi_from_garside,
-    realize,
 )
-from .words import BraidWord
+from .words import BraidWord, delta_power
 
 
 class NotAKnotError(ValueError):
@@ -61,12 +62,10 @@ class IntInterval:
     def point(value: int) -> IntInterval:
         return IntInterval(value, value)
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
 
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
-    if not realize(form).is_knot():
+    # D^2 is a pure braid, so the closure's components depend on k mod 2 only
+    if not (delta_power(delta_exponent(form) % 2) * form_tail(form)).is_knot():
         raise NotAKnotError(f"closure of {form} is not a knot")
 
 
@@ -104,13 +103,8 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
         return _as_int(val, "upsilon")
     if isinstance(form, (GarsideB, MurasugiTorus)):
         return _torus_upsilon(*_torus_family(form))
-    if isinstance(form, GarsideC):
-        val = -Fraction(sum(p + q for p, q in form.pairs), 2) + form.r - 2 * form.ell
-        return _as_int(val, "upsilon")
-    if isinstance(form, GarsideD):
-        total = sum(p + q for p, q in form.pairs) + form.p_r
-        val = -Fraction(total, 2) + form.r - 2 * form.ell - Fraction(3, 2)
-        return _as_int(val, "upsilon")
+    if isinstance(form, (GarsideC, GarsideD)):
+        return _as_int(homogenized_upsilon(form), "upsilon")
     raise NotAKnotError(f"{form} never closes to a knot")
 
 
@@ -143,7 +137,7 @@ def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
 
 def _positive_genus(form) -> int:
     # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
-    wr = realize(form).writhe()
+    wr = 3 * delta_exponent(form) + form_tail(form).writhe()
     if wr % 2:
         raise InternalInconsistencyError("odd writhe on a knot closure")
     return (wr - 2) // 2
@@ -155,8 +149,7 @@ def rasmussen_s(form: GarsideForm | MurasugiForm) -> tuple[int, str] | None:
     Returns (value, provenance); provenance 'positive-braid' marks the
     extension s = -2g beyond the Murasugi-generic and alternating cases.
     """
-    if not realize(form).is_knot():
-        raise NotAKnotError(f"closure of {form} is not a knot")
+    _require_knot(form)
     if isinstance(form, MurasugiGeneric):
         diff = sum(p - q for p, q in form.pairs)
         if form.ell > 0:
@@ -176,8 +169,7 @@ def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None,
     alternating closure (generic form with no twisting) determines tau
     alone.  None otherwise.
     """
-    if not realize(form).is_knot():
-        raise NotAKnotError(f"closure of {form} is not a knot")
+    _require_knot(form)
     if _is_positive_form(form):
         g = _positive_genus(form)
         return g, g, g
@@ -226,8 +218,7 @@ def alternating_distances(form: GarsideForm | MurasugiForm) -> AltDistances:
 def minimal_positive_switches(form: GarsideForm | MurasugiForm) -> int | None:
     """Minimal r so the closure is that of a^p1 b^q1 ... a^pr b^qr, all
     exponents positive; defined for positive braid closures only."""
-    if not realize(form).is_knot():
-        raise NotAKnotError(f"closure of {form} is not a knot")
+    _require_knot(form)
     if not _is_positive_form(form):
         return None
     if isinstance(form, (GarsideB, MurasugiTorus)):
@@ -269,24 +260,8 @@ def derived_concordance(ups: int, sig: int) -> tuple[int, int]:
 def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | None:
     """Best cobordism slope bound on the upsilon function; positive braid
     closures only, where it is tight at the right endpoint."""
-    if not realize(form).is_knot():
-        raise NotAKnotError(f"closure of {form} is not a knot")
-    if not _is_positive_form(form):
-        return None
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        ell, k = _torus_family(form)
-        p = 1 if k == 1 else 3
-        slope = -Fraction(p + 1, 2) + 1 - 2 * ell
-    elif isinstance(form, GarsideC):
-        slope = -Fraction(sum(p + q for p, q in form.pairs), 2) + form.r - 2 * form.ell
-    else:
-        total = sum(p + q for p, q in form.pairs) + form.p_r
-        slope = -Fraction(total, 2) + form.r - 2 * form.ell - Fraction(3, 2)
-    if slope != upsilon(form):
-        raise InternalInconsistencyError(
-            f"slope bound {slope} does not meet upsilon({form})"
-        )
-    return slope
+    _require_knot(form)
+    return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
 @dataclass(frozen=True)

@@ -180,43 +180,21 @@ class MurasugiGeneric:
 MurasugiForm = MurasugiPower | MurasugiHalfTwist | MurasugiTorus | MurasugiGeneric
 
 
-def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
-    """The literal braid word displayed by a normal form (D expanded)."""
-    if isinstance(form, GarsideA):
-        return delta_power(2 * form.ell) * BraidWord.from_runs([(GEN_A, form.p)])
-    if isinstance(form, GarsideB):
-        return delta_power(2 * form.ell) * BraidWord.from_runs(
-            [(GEN_A, form.p), (GEN_B, 1)]
-        )
-    if isinstance(form, GarsideC):
-        runs = []
-        for p, q in form.pairs:
-            runs.append((GEN_A, p))
-            runs.append((GEN_B, q))
-        return delta_power(2 * form.ell) * BraidWord.from_runs(runs)
-    if isinstance(form, GarsideD):
-        runs = []
-        for p, q in form.pairs:
-            runs.append((GEN_A, p))
-            runs.append((GEN_B, q))
-        runs.append((GEN_A, form.p_r))
-        return delta_power(2 * form.ell + 1) * BraidWord.from_runs(runs)
-    if isinstance(form, MurasugiPower):
-        return delta_power(2 * form.ell) * BraidWord.from_runs([(GEN_A, form.p)])
-    if isinstance(form, MurasugiHalfTwist):
-        return delta_power(2 * form.ell + 1)
-    if isinstance(form, MurasugiTorus):
-        reps = 1 if form.variant == "ab" else 2
-        return delta_power(2 * form.ell) * BraidWord.from_runs(
-            [(GEN_A, 1), (GEN_B, 1)] * reps
-        )
-    if isinstance(form, MurasugiGeneric):
-        runs = []
-        for p, q in form.pairs:
-            runs.append((GEN_A, -p))
-            runs.append((GEN_B, q))
-        return delta_power(2 * form.ell) * BraidWord.from_runs(runs)
-    raise TypeError(f"not a normal form: {form!r}")
+def _pair_runs(pairs: tuple[tuple[int, int], ...], sign: int) -> list[tuple[str, int]]:
+    return [run for p, q in pairs for run in ((GEN_A, sign * p), (GEN_B, q))]
+
+
+#: the runs each normal-form shape displays after its D^k prefix
+_TAIL_RUNS = {
+    GarsideA: lambda f: [(GEN_A, f.p)],
+    GarsideB: lambda f: [(GEN_A, f.p), (GEN_B, 1)],
+    GarsideC: lambda f: _pair_runs(f.pairs, 1),
+    GarsideD: lambda f: _pair_runs(f.pairs, 1) + [(GEN_A, f.p_r)],
+    MurasugiPower: lambda f: [(GEN_A, f.p)],
+    MurasugiHalfTwist: lambda f: [],
+    MurasugiTorus: lambda f: [(GEN_A, 1), (GEN_B, 1)] * (1 if f.variant == "ab" else 2),
+    MurasugiGeneric: lambda f: _pair_runs(f.pairs, -1),
+}
 
 
 def delta_exponent(form: GarsideForm | MurasugiForm) -> int:
@@ -226,16 +204,21 @@ def delta_exponent(form: GarsideForm | MurasugiForm) -> int:
     return 2 * form.ell
 
 
+def form_tail(form: GarsideForm | MurasugiForm) -> BraidWord:
+    """The word the form displays after its D^k prefix, k = delta_exponent(form)."""
+    return BraidWord.from_runs(_TAIL_RUNS[type(form)](form))
+
+
+def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
+    """The literal braid word displayed by a normal form (D expanded)."""
+    return delta_power(delta_exponent(form)) * form_tail(form)
+
+
 def form_display(form: GarsideForm | MurasugiForm) -> str:
     """Input-grammar rendering, D-power first, e.g. 'D^-3 a^7'."""
     k = delta_exponent(form)
-    tail = delta_power(-k) * realize(form)  # cancels the D prefix exactly
-    parts = []
-    if k == 1:
-        parts.append("D")
-    elif k != 0:
-        parts.append(f"D^{k}")
-    body = tail.display()
+    parts = [] if k == 0 else ["D" if k == 1 else f"D^{k}"]
+    body = form_tail(form).display()
     if body:
         parts.append(body)
     return " ".join(parts)
@@ -327,11 +310,6 @@ class _State:
         return BraidWord.from_runs(self.conj_runs)
 
     # -- primitive moves --
-
-    def word(self) -> BraidWord:
-        return delta_power(self.n) * BraidWord.from_runs(
-            [(g, e) for g, e in self.runs]
-        )
 
     def letter_length(self) -> int:
         return sum(e for _, e in self.runs)

@@ -94,19 +94,6 @@ class BraidWord:
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
         return BraidWord(_merge(runs))
 
-    @staticmethod
-    def from_letters(letters: Iterable[str]) -> BraidWord:
-        """Build from single letters: 'a', 'b' positive, 'A', 'B' inverse."""
-        runs = []
-        for ch in letters:
-            if ch in (GEN_A, GEN_B):
-                runs.append((ch, 1))
-            elif ch in ("A", "B"):
-                runs.append((ch.lower(), -1))
-            else:
-                raise ValueError(f"unknown letter {ch!r}")
-        return BraidWord.from_runs(runs)
-
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
 
@@ -130,10 +117,7 @@ class BraidWord:
     def __pow__(self, k: int) -> BraidWord:
         if k < 0:
             return self.inverse() ** (-k)
-        word = BraidWord()
-        for _ in range(k):
-            word = word * self
-        return word
+        return BraidWord.from_runs([(s.gen, s.exp) for s in self.syllables] * k)
 
     def inverse(self) -> BraidWord:
         return BraidWord(
@@ -189,8 +173,6 @@ class BraidWord:
 
 
 IDENTITY = BraidWord()
-HALF_TWIST = BraidWord.from_runs([(GEN_A, 1), (GEN_B, 1), (GEN_A, 1)])
-FULL_TWIST = HALF_TWIST * HALF_TWIST
 
 
 def delta_power(k: int) -> BraidWord:
@@ -233,13 +215,11 @@ def max_word_len() -> int:
         return DEFAULT_MAX_WORD_LEN
 
 
-_LETTER_RUNS = {
-    "a": ((GEN_A, 1),),
-    "b": ((GEN_B, 1),),
-    "A": ((GEN_A, -1),),
-    "B": ((GEN_B, -1),),
-    "D": ((GEN_A, 1), (GEN_B, 1), (GEN_A, 1)),
-}
+#: ASCII digits only; str.isdigit also accepts superscripts and non-Latin digits
+_DIGITS = frozenset("0123456789")
+
+#: letter -> (generator, sign); "D" is expanded by delta_power instead
+_LETTERS = {"a": (GEN_A, 1), "b": (GEN_B, 1), "A": (GEN_A, -1), "B": (GEN_B, -1)}
 
 
 def parse(text: str) -> BraidWord:
@@ -257,9 +237,8 @@ def parse(text: str) -> BraidWord:
         if ch.isspace():
             i += 1
             continue
-        if ch not in _LETTER_RUNS:
+        if ch not in _LETTERS and ch != "D":
             raise ParseError(f"unexpected character {ch!r}", i + 1)
-        base = _LETTER_RUNS[ch]
         i += 1
         exp = 1
         if i < n and text[i] == "^":
@@ -267,31 +246,19 @@ def parse(text: str) -> BraidWord:
             start = i
             if i < n and text[i] == "-":
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i == start or text[start:i] == "-":
                 raise ParseError("expected integer exponent after '^'", start + 1)
             exp = int(text[start:i])
             if exp == 0:
                 raise ParseError("zero exponent not allowed", start + 1)
-        total += len(base) * abs(exp)
+        total += (3 if ch == "D" else 1) * abs(exp)
         if total > limit:
             raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
-        if len(base) == 1:
-            runs.append((base[0][0], base[0][1] * exp))
-        elif exp > 0:
-            # (aba)^k merges to a b (a^2 b)^(k-1) a
-            runs.append((GEN_A, 1))
-            runs.append((GEN_B, 1))
-            for _ in range(exp - 1):
-                runs.append((GEN_A, 2))
-                runs.append((GEN_B, 1))
-            runs.append((GEN_A, 1))
+        if ch == "D":
+            runs.extend((s.gen, s.exp) for s in delta_power(exp))
         else:
-            runs.append((GEN_A, -1))
-            runs.append((GEN_B, -1))
-            for _ in range(-exp - 1):
-                runs.append((GEN_A, -2))
-                runs.append((GEN_B, -1))
-            runs.append((GEN_A, -1))
+            gen, sign = _LETTERS[ch]
+            runs.append((gen, sign * exp))
     return BraidWord.from_runs(runs)

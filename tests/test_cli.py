@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import braid3.cli
 from braid3.cli import main
+from braid3.normal_form import InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -32,6 +34,11 @@ class TestNormalize:
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "normalize", "a^3 q")
+        assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize("text", ["a^²", "a^٣"])
+    def test_non_ascii_exponent_is_parse_error(self, capsys, text):
+        code, _, err = run(capsys, "normalize", text)
         assert code == 2 and "parse error" in err
 
     def test_json(self, capsys):
@@ -137,6 +144,14 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["reasons"]
 
+    @pytest.mark.parametrize("text", ['{"kind": "torus-sum", "start": "a^3', '{"kind": "torus-sum"}'])
+    def test_malformed_certificate_file(self, capsys, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "bad certificate" in err
+
 
 class TestBatch:
     def test_worked_examples(self, capsys, tmp_path):
@@ -167,6 +182,23 @@ class TestBatch:
         assert "parse error at 1" in rows[0]["error"]
         assert rows[1]["upsilon"] == 0
         assert "2 processed, 1 errors" in err
+
+    def test_internal_error_row_continues(self, capsys, tmp_path, monkeypatch):
+        real = braid3.cli.build_report
+
+        def failing_on_aba(word):
+            if word.display() == "a b a":
+                raise InternalInconsistencyError("injected")
+            return real(word)
+
+        monkeypatch.setattr(braid3.cli, "build_report", failing_on_aba)
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\none,ab\ntwo,aba\nthree,a^3 b^3\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("error") for r in rows] == [None, "injected", None]
+        assert "3 processed, 1 errors" in err
 
     def test_output_file(self, capsys, tmp_path):
         src = tmp_path / "in.csv"

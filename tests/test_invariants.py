@@ -1,4 +1,5 @@
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from braid3.normal_form import (
     GarsideC,
     GarsideD,
     MurasugiGeneric,
+    MurasugiHalfTwist,
+    MurasugiPower,
+    MurasugiTorus,
     garside_normal_form,
     murasugi_normal_form,
     realize,
@@ -176,6 +180,27 @@ class TestGenusTau:
     def test_alternating_tau_only(self):
         mform, _ = murasugi_normal_form(parse("A b^3"))
         assert genus_tau(mform) == (None, None, 1)
+
+    def test_knot_test_and_genus_agree_with_realized_word(self):
+        # both come from the form's tail; D^2 is pure and D has three crossings
+        shapes = (
+            GarsideA(0, 3), GarsideB(0, 1), GarsideB(0, 2), GarsideB(0, 3),
+            GarsideC(0, ((2, 3),)), GarsideC(0, ((3, 3), (2, 2))),
+            GarsideD(0, (), 3), GarsideD(0, ((2, 2),), 3), MurasugiPower(0, -3),
+            MurasugiHalfTwist(0), MurasugiTorus(0, "ab"), MurasugiTorus(0, "abab"),
+            MurasugiGeneric(0, ((1, 2),)), MurasugiGeneric(0, ((2, 1), (1, 1))),
+        )
+        for shape in shapes:
+            for ell in range(-3, 4):
+                form = dataclasses.replace(shape, ell=ell)
+                word = realize(form)
+                if not word.is_knot():
+                    with pytest.raises(NotAKnotError):
+                        genus_tau(form)
+                    continue
+                gt = genus_tau(form)
+                if gt is not None and gt[0] is not None:
+                    assert gt[0] == (word.writhe() - 2) // 2
 
     def test_upsilon_bounded_by_four_genus(self, rng):
         for _ in range(200):

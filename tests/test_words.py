@@ -62,6 +62,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a^-")
 
+    def test_non_ascii_digits_rejected(self):
+        # str.isdigit accepts both; int() rejects "²" and reads "٣" as 3
+        for text in ("a^²", "a^٣"):
+            with pytest.raises(ParseError):
+                parse(text)
+
     def test_length_guard(self, monkeypatch):
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "10")
         with pytest.raises(ParseError):
@@ -89,6 +95,14 @@ class TestGroupOperations:
     def test_inverse(self):
         assert runs(parse("a^3 B").inverse()) == [("b", 1), ("a", -3)]
         assert BraidWord().inverse() == BraidWord()
+
+    def test_power(self):
+        assert len((parse("ab") ** 3000).syllables) == 6000
+        assert runs(parse("a b a") ** 2) == [("a", 1), ("b", 1), ("a", 2), ("b", 1), ("a", 1)]
+        for w in (parse("ab"), parse("a B a^2")):
+            assert w ** 0 == BraidWord()
+            for k in range(1, 5):
+                assert w ** -k == (w ** k).inverse()
 
     @given(words_strategy)
     def test_inverse_is_involution(self, w):
