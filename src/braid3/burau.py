@@ -1,243 +1,45 @@
 """
-Exact equality oracle for B3 via the reduced Burau representation.
+Exact equality oracle for B3: the reduced Burau representation at t = -1,
+paired with the writhe.
 
-The representation sends
-    a  ->  [[-t, 1], [0, 1]]          b  ->  [[1, 0], [t, -t]]
-with exact integer Laurent-polynomial entries.  It is faithful on B3, so
-matrix equality decides the word problem; that is what certifies every
-rewrite the normal-form engine performs.  No modular or floating-point
-shortcuts anywhere: a passing check is a proof.
+At t = -1 the reduced Burau matrices of the generators are
 
-Internally a Laurent polynomial is a pair (offset, coeffs) with a dense
-integer coefficient list; the public LaurentPoly view exposes the canonical
-sparse map exponent -> nonzero coefficient.
+    a  ->  [[1, 1], [0, 1]]          b  ->  [[1, 0], [-1, 1]],
+
+which maps B3 onto SL2(Z).  The kernel of that map is generated by D^4,
+the square of the full twist: D^2 generates the center of B3 and maps to
+-I, and B3 / <D^2> maps isomorphically onto PSL2(Z) (Kassel-Turaev, Braid
+Groups, GTM 247).  The writhe is a homomorphism B3 -> Z and D^4 has
+writhe 12, so the identity is the only kernel element of writhe 0.  Two
+words are therefore equal in B3 exactly when their matrices and their
+writhes agree, and a passing check is a proof.
+
+Entries are Python integers, exact at any size.  A syllable g^k is one
+matrix update, so a check costs one step per syllable, not per letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BraidWord, cycle_type
-
-# dense internal representation: (offset, tuple of ints, first and last nonzero)
-_Poly = tuple[int, tuple[int, ...]]
-
-_ZERO: _Poly = (0, ())
-_ONE: _Poly = (0, (1,))
+from .words import GEN_A, BraidWord
 
 
-def _trim(off: int, coeffs: list[int]) -> _Poly:
-    lo = 0
-    hi = len(coeffs)
-    while hi > lo and coeffs[hi - 1] == 0:
-        hi -= 1
-    while lo < hi and coeffs[lo] == 0:
-        lo += 1
-    if lo == hi:
-        return _ZERO
-    return (off + lo, tuple(coeffs[lo:hi]))
-
-
-def _add(p: _Poly, q: _Poly) -> _Poly:
-    if not p[1]:
-        return q
-    if not q[1]:
-        return p
-    off = min(p[0], q[0])
-    end = max(p[0] + len(p[1]), q[0] + len(q[1]))
-    coeffs = [0] * (end - off)
-    base = p[0] - off
-    for i, c in enumerate(p[1]):
-        coeffs[base + i] += c
-    base = q[0] - off
-    for i, c in enumerate(q[1]):
-        coeffs[base + i] += c
-    return _trim(off, coeffs)
-
-
-def _mul(p: _Poly, q: _Poly) -> _Poly:
-    if not p[1] or not q[1]:
-        return _ZERO
-    coeffs = [0] * (len(p[1]) + len(q[1]) - 1)
-    for i, c in enumerate(p[1]):
-        if c:
-            for j, d in enumerate(q[1]):
-                if d:
-                    coeffs[i + j] += c * d
-    return _trim(p[0] + q[0], coeffs)
-
-
-def _shift(p: _Poly, k: int, scale: int = 1) -> _Poly:
-    """scale * t^k * p"""
-    if not p[1]:
-        return _ZERO
-    if scale == 1:
-        return (p[0] + k, p[1])
-    return (p[0] + k, tuple(scale * c for c in p[1]))
-
-
-# 2x2 matrices as 4-tuples (m11, m12, m21, m22) of _Poly
-_Mat = tuple[_Poly, _Poly, _Poly, _Poly]
-
-_IDENT: _Mat = (_ONE, _ZERO, _ZERO, _ONE)
-
-
-def _step(m: _Mat, gen: str, sign: int) -> _Mat:
-    """Multiply m on the right by the image of one crossing.
-
-    Right multiplication by a generator image only mixes the two columns,
-    so each step is a couple of shifts and adds per row.
-    """
-    m11, m12, m21, m22 = m
-    if gen == "a":
-        if sign > 0:
-            # columns: (-t*c1, c1 + c2)
-            return (
-                _shift(m11, 1, -1),
-                _add(m11, m12),
-                _shift(m21, 1, -1),
-                _add(m21, m22),
-            )
-        # a^-1 = [[-1/t, 1/t], [0, 1]]
-        return (
-            _shift(m11, -1, -1),
-            _add(_shift(m11, -1), m12),
-            _shift(m21, -1, -1),
-            _add(_shift(m21, -1), m22),
-        )
-    if sign > 0:
-        # b: columns: (c1 + t*c2, -t*c2)
-        return (
-            _add(m11, _shift(m12, 1)),
-            _shift(m12, 1, -1),
-            _add(m21, _shift(m22, 1)),
-            _shift(m22, 1, -1),
-        )
-    # b^-1 = [[1, 0], [1, -1/t]]
-    return (
-        _add(m11, m12),
-        _shift(m12, -1, -1),
-        _add(m21, m22),
-        _shift(m22, -1, -1),
-    )
-
-
-def _matmul(x: _Mat, y: _Mat) -> _Mat:
-    return (
-        _add(_mul(x[0], y[0]), _mul(x[1], y[2])),
-        _add(_mul(x[0], y[1]), _mul(x[1], y[3])),
-        _add(_mul(x[2], y[0]), _mul(x[3], y[2])),
-        _add(_mul(x[2], y[1]), _mul(x[3], y[3])),
-    )
-
-
-def _image(word: BraidWord) -> _Mat:
-    m = _IDENT
-    for gen, sign in word.letters():
-        m = _step(m, gen, sign)
-    return m
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial in t, canonical (no stored zeros)."""
-
-    _data: _Poly = _ZERO
-
-    @staticmethod
-    def from_dict(coeffs: dict[int, int]) -> LaurentPoly:
-        nz = {e: c for e, c in coeffs.items() if c}
-        if not nz:
-            return LaurentPoly(_ZERO)
-        lo, hi = min(nz), max(nz)
-        dense = [0] * (hi - lo + 1)
-        for e, c in nz.items():
-            dense[e - lo] = c
-        return LaurentPoly(_trim(lo, dense))
-
-    @staticmethod
-    def t_power(k: int, coeff: int = 1) -> LaurentPoly:
-        return LaurentPoly.from_dict({k: coeff})
-
-    @property
-    def coefficients(self) -> dict[int, int]:
-        off, cs = self._data
-        return {off + i: c for i, c in enumerate(cs) if c}
-
-    def is_zero(self) -> bool:
-        return not self._data[1]
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(_add(self._data, other._data))
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(_shift(self._data, 0, -1))
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(_mul(self._data, other._data))
-
-    def __str__(self) -> str:
-        terms = []
-        for e in sorted(self.coefficients):
-            c = self.coefficients[e]
-            if e == 0:
-                terms.append(f"{c}")
-            elif e == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{e}")
-        return " + ".join(terms) if terms else "0"
-
-
-@dataclass(frozen=True)
-class BurauMatrix:
-    """2x2 reduced Burau image with exact Laurent entries."""
-
-    m11: LaurentPoly
-    m12: LaurentPoly
-    m21: LaurentPoly
-    m22: LaurentPoly
-
-    @staticmethod
-    def identity() -> BurauMatrix:
-        return BurauMatrix(
-            LaurentPoly(_ONE), LaurentPoly(_ZERO), LaurentPoly(_ZERO), LaurentPoly(_ONE)
-        )
-
-    def __mul__(self, other: BurauMatrix) -> BurauMatrix:
-        a = (self.m11._data, self.m12._data, self.m21._data, self.m22._data)
-        b = (other.m11._data, other.m12._data, other.m21._data, other.m22._data)
-        return _wrap(_matmul(a, b))
-
-    def determinant(self) -> LaurentPoly:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> LaurentPoly:
-        return self.m11 + self.m22
-
-    def is_identity(self) -> bool:
-        return self == BurauMatrix.identity()
-
-
-def _wrap(m: _Mat) -> BurauMatrix:
-    return BurauMatrix(*(LaurentPoly(p) for p in m))
-
-
-def burau(word: BraidWord) -> BurauMatrix:
-    """Image of a braid word under the reduced Burau representation."""
-    return _wrap(_image(word))
+def _image(word: BraidWord) -> tuple[int, int, int, int, int]:
+    """(m11, m12, m21, m22, writhe) of the word."""
+    m11, m12, m21, m22, writhe = 1, 0, 0, 1, 0
+    for s in word.syllables:
+        k = s.exp
+        writhe += k
+        if s.gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
+            m12 += k * m11
+            m22 += k * m21
+        else:  # right-multiply by b^k = [[1, 0], [-k, 1]]
+            m11 -= k * m12
+            m21 -= k * m22
+    return m11, m12, m21, m22, writhe
 
 
 def words_equal(u: BraidWord, v: BraidWord) -> bool:
-    """Exact word-problem decision: u = v in B3.
-
-    Decided by burau(u * v^-1) being the identity matrix, which for this
-    faithful representation is equivalent to matrix equality of the two
-    images; the latter is cheaper and is what runs here.
-    """
+    """Exact word-problem decision: u = v in B3."""
     return _image(u) == _image(v)
 
 
@@ -245,20 +47,3 @@ def conjugates_to(conjugator: BraidWord, source: BraidWord, target: BraidWord) -
     """Check conjugator * source * conjugator^-1 = target, rearranged as
     conjugator * source = target * conjugator to avoid inverses."""
     return _image(conjugator * source) == _image(target * conjugator)
-
-
-@dataclass(frozen=True)
-class ConjugacyFingerprint:
-    """Conjugation invariants: necessary (never sufficient) for conjugacy."""
-
-    writhe: int
-    cycle_type: tuple[int, ...]
-    burau_trace: LaurentPoly
-
-
-def fingerprint(word: BraidWord) -> ConjugacyFingerprint:
-    return ConjugacyFingerprint(
-        writhe=word.writhe(),
-        cycle_type=cycle_type(word.permutation()),
-        burau_trace=burau(word).trace(),
-    )

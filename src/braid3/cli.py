@@ -5,12 +5,14 @@ Subcommands
   normalize    print the Garside (default) or Murasugi conjugacy normal form
   invariants   full invariant report for one word (text or JSON)
   certify      emit a cobordism certificate (torus-sum or twist construction)
-  verify       check two words for equality in B3, or recheck a certificate
+  verify       check two words for equality and conjugacy in B3, or recheck
+               a certificate
   batch        run the invariant pipeline over a name,word CSV file
 
-Exit codes: 0 success, 1 a verification answered false, 2 parse error or
-unreadable certificate, 3 precondition failure, 4 internal inconsistency.
-The environment variable BRAID3_MAX_WORD_LEN (default 10^6) bounds accepted
+Exit codes: 0 success, 1 a verification answered false, 2 parse error,
+unreadable certificate or invalid BRAID3_MAX_WORD_LEN, 3 precondition
+failure, 4 internal inconsistency.  The environment variable
+BRAID3_MAX_WORD_LEN (default 10^6, a non-negative integer) bounds accepted
 input length.
 """
 
@@ -23,7 +25,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .burau import fingerprint, words_equal
+from .burau import words_equal
 from .cobordism import (
     ClosureFactor,
     CobordismCertificate,
@@ -42,7 +44,7 @@ from .normal_form import (
     garside_normal_form,
     murasugi_normal_form,
 )
-from .words import ParseError, parse
+from .words import ParseError, WordLimitError, parse
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -111,18 +113,19 @@ def cmd_normalize(args) -> int:
             "form": _form_json(form),
         }
         if args.certificate:
+            # the classifier has checked cert and raises when the check fails
             payload["certificate"] = {
                 "conjugator": cert.conjugator.display(),
                 "source": cert.source.display(),
                 "target": cert.target.display(),
-                "verified": cert.verify(),
+                "verified": True,
             }
         print(json.dumps(payload))
         return EXIT_OK
     print(_identity_text(form))
     if args.certificate:
         print(f"conjugator: {cert.conjugator.display() or '<identity>'}")
-        print(f"verified: {'yes' if cert.verify() else 'NO'}")
+        print("verified: yes")
     return EXIT_OK
 
 
@@ -198,13 +201,13 @@ def certificate_from_json(data: dict) -> CobordismCertificate:
 
 def cmd_certify(args) -> int:
     word = parse(args.word)
+    # both constructions replay their certificate and raise unless it verifies
     if args.kind == "torus-sum":
         cert = torus_sum_cobordism(word)
     else:
         cert = twist_trick(word, args.n)
-    result = verify_cobordism(cert)
-    print(json.dumps(certificate_json(cert, bool(result))))
-    return EXIT_OK if result else EXIT_FALSE
+    print(json.dumps(certificate_json(cert, True)))
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -223,12 +226,9 @@ def cmd_verify(args) -> int:
         return EXIT_PRECONDITION
     u, v = (parse(w) for w in args.words)
     equal = words_equal(u, v)
-    fp = fingerprint(u) == fingerprint(v)
-    print(
-        json.dumps(
-            {"equal_in_b3": equal, "conjugacy_fingerprints_match": fp}
-        )
-    )
+    # conjugate exactly when the Garside normal forms coincide
+    conjugate = garside_normal_form(u)[0] == garside_normal_form(v)[0]
+    print(json.dumps({"equal_in_b3": equal, "conjugate_in_b3": conjugate}))
     return EXIT_OK if equal else EXIT_FALSE
 
 
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, WordLimitError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, NotAKnotError) as exc:

@@ -298,15 +298,16 @@ class InvariantReport:
     flags: dict | None = None
 
 
-def build_report(word: BraidWord, check: bool = True) -> InvariantReport:
+def build_report(word: BraidWord) -> InvariantReport:
     """Run the full pipeline on one braid word.
 
-    Classifies into both normal forms (certificates oracle-checked unless
-    check=False), evaluates every applicable invariant, and cross-checks
-    the Garside-side and Murasugi-side upsilon formulas against each other.
+    Classifies into both normal forms, each certificate checked once by
+    the exact oracle, evaluates every applicable invariant, and
+    cross-checks the Garside-side and Murasugi-side upsilon formulas
+    against each other.
     """
-    gform, gcert = garside_normal_form(word, check=check)
-    mform, mcert = murasugi_from_garside(gform, gcert, check=check)
+    gform, gcert = garside_normal_form(word)
+    mform, mcert = murasugi_from_garside(gform, gcert)
     components = word.closure_components()
     knot = components == 1
 

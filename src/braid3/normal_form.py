@@ -21,7 +21,9 @@ central substitution a^-1 = D^-2 babab (and the b analogue), greedily pull
 half twists out of the positive remainder, then sort the residue into its
 case with explicit conjugations.  Every step either preserves the group
 element on the nose or conjugates by a recorded word, so each result ships
-with a ConjugacyCertificate that the Burau oracle can check independently.
+with a ConjugacyCertificate.  The exact word-problem oracle of module burau
+(the SL2(Z) image of the braid paired with its writhe) checks every
+certificate before it is returned.
 
 Canonical rotation: among all cyclic rotations of the exponent sequence
 (2r of them for case C, 2r-1 for case D -- odd shifts exchange the roles
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burau import conjugates_to
+from .burau import conjugates_to, words_equal
 from .words import GEN_A, GEN_B, BraidWord, _OTHER, delta_power
 
 
@@ -249,8 +251,6 @@ class DeltaSplit:
     source: BraidWord
 
     def verify(self) -> bool:
-        from .burau import words_equal
-
         return words_equal(
             self.source, delta_power(2 * self.k) * self.positive_part
         )
@@ -507,15 +507,13 @@ def _classify(state: _State) -> GarsideForm:
     return GarsideD((n - 1) // 2, pairs, state.runs[-1][1])
 
 
-def garside_normal_form(
-    word: BraidWord, check: bool = True
-) -> tuple[GarsideForm, ConjugacyCertificate]:
+def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertificate]:
     """Classify a 3-braid word up to conjugacy; total on all inputs.
 
     Returns the canonical form together with an explicit conjugator taking
-    the input word to the realized normal form.  With check=True (the
-    default) the certificate is verified against the Burau oracle before
-    being returned.
+    the input word to the realized normal form.  The certificate is checked
+    by the exact oracle before it is returned; a failed check raises
+    InternalInconsistencyError.
     """
     split = delta_positive_split(word)
     state = _State(2 * split.k, split.positive_part)
@@ -526,7 +524,7 @@ def garside_normal_form(
     cert = ConjugacyCertificate(
         conjugator=state.conjugator(), source=word, target=target
     )
-    if check and not cert.verify():
+    if not cert.verify():
         raise InternalInconsistencyError(
             f"normal-form certificate failed for {word.display()!r}"
         )
@@ -566,9 +564,7 @@ def _rotate_generic(form: MurasugiGeneric) -> tuple[MurasugiGeneric, int]:
     return MurasugiGeneric(form.ell, rotated), best
 
 
-def murasugi_normal_form(
-    word: BraidWord, check: bool = True
-) -> tuple[MurasugiForm, ConjugacyCertificate]:
+def murasugi_normal_form(word: BraidWord) -> tuple[MurasugiForm, ConjugacyCertificate]:
     """Classical conjugacy normal form, computed from the Garside form.
 
     Cases A and B map across directly; cases C and D are rewritten through
@@ -580,14 +576,16 @@ def murasugi_normal_form(
     followed by a cyclic merge of the empty b-runs.  The conversion itself
     is the conjugation by b (case C) or b D^-1 (case D).
     """
-    gform, gcert = garside_normal_form(word, check=check)
-    return murasugi_from_garside(gform, gcert, check=check)
+    return murasugi_from_garside(*garside_normal_form(word))
 
 
 def murasugi_from_garside(
-    gform: GarsideForm, gcert: ConjugacyCertificate, check: bool = True
+    gform: GarsideForm, gcert: ConjugacyCertificate
 ) -> tuple[MurasugiForm, ConjugacyCertificate]:
-    """Convert an already classified Garside form; see murasugi_normal_form."""
+    """Convert an already classified Garside form; see murasugi_normal_form.
+
+    The conversion certificate is checked like the Garside one.
+    """
     word = gcert.source
     conj = gcert.conjugator
 
@@ -637,7 +635,7 @@ def murasugi_from_garside(
                 conj = head.inverse() * conj
 
     cert = ConjugacyCertificate(conjugator=conj, source=word, target=realize(mform))
-    if check and not cert.verify():
+    if not cert.verify():
         raise InternalInconsistencyError(
             f"conversion certificate failed for {word.display()!r}"
         )

@@ -49,6 +49,11 @@ class ParseError(ValueError):
         self.position = position
 
 
+class WordLimitError(ValueError):
+    """BRAID3_MAX_WORD_LEN is set to something other than a non-negative
+    base-10 integer."""
+
+
 @dataclass(frozen=True)
 class Syllable:
     """One run g^e with e != 0."""
@@ -209,10 +214,13 @@ def cycle_type(perm: tuple[int, int, int]) -> tuple[int, ...]:
 def max_word_len() -> int:
     """Parser guard against pathological inputs, in expanded letters."""
     raw = os.environ.get("BRAID3_MAX_WORD_LEN", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_WORD_LEN
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_WORD_LEN
+    if not _DIGITS.issuperset(raw):
+        raise WordLimitError(
+            f"BRAID3_MAX_WORD_LEN={raw!r} is not a non-negative base-10 integer"
+        )
+    return int(raw)
 
 
 #: ASCII digits only; str.isdigit also accepts superscripts and non-Latin digits

@@ -1,89 +1,109 @@
+"""
+braid3's word-problem oracle, the Burau representation at t = -1 paired
+with the writhe, and the test-only generic-t Burau reference that the
+soundness and acceptance tests check certificates against as well.
+"""
+
 import itertools
+import time
 
-import pytest
-
-from braid3.burau import (
-    BurauMatrix,
-    LaurentPoly,
-    burau,
-    conjugates_to,
-    fingerprint,
-    words_equal,
-)
+from braid3.burau import _image, conjugates_to, words_equal
+from braid3.normal_form import GarsideC, garside_normal_form, murasugi_from_garside
 from braid3.words import BraidWord, delta_power, parse
 
+import burau_reference
 from conftest import random_word, reduced_words
 
-
-def poly(d):
-    return LaurentPoly.from_dict(d)
+IDENTITY = (1, 0, 0, 1, 0)
 
 
-class TestLaurentPoly:
-    def test_canonical_no_zeros(self):
-        p = poly({3: 0, 1: 2, -2: 5, 0: 0})
-        assert p.coefficients == {1: 2, -2: 5}
-        assert poly({}).is_zero()
-        assert poly({4: 0}).is_zero()
+def mul(x, y):
+    """Product of two (m11, m12, m21, m22, writhe) images."""
+    a, b, c, d, w = x
+    e, f, g, h, v = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, w + v
 
-    def test_arithmetic(self):
-        p, q = poly({0: 1, 1: 1}), poly({1: -1, 0: 1})
-        assert (p * q).coefficients == {0: 1, 2: -1}
-        assert (p + q).coefficients == {0: 2}
-        assert (p - p).is_zero()
 
-    def test_negative_exponents(self):
-        p = poly({-1: 1})
-        assert (p * p).coefficients == {-2: 1}
+def laurent(coeffs):
+    """{exponent: coefficient} in the reference's (lowest exponent, coefficients) form."""
+    lo, hi = min(coeffs), max(coeffs)
+    return lo, tuple(coeffs.get(e, 0) for e in range(lo, hi + 1))
+
+
+def product(p, q):
+    """p * q for two reference entries, as {exponent: coefficient}."""
+    (i, xs), (j, ys) = p, q
+    out = {}
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            out[i + j + a + b] = out.get(i + j + a + b, 0) + x * y
+    return out
+
+
+ZERO = (0, ())
 
 
 class TestBurauImages:
     def test_generator_images(self):
-        m = burau(parse("a"))
-        assert m.m11.coefficients == {1: -1}
-        assert m.m12.coefficients == {0: 1}
-        assert m.m21.is_zero()
-        assert m.m22.coefficients == {0: 1}
-        m = burau(parse("b"))
-        assert m.m11.coefficients == {0: 1}
-        assert m.m12.is_zero()
-        assert m.m21.coefficients == {1: 1}
-        assert m.m22.coefficients == {1: -1}
+        assert _image(parse("a")) == (1, 1, 0, 1, 1)
+        assert _image(parse("b")) == (1, 0, -1, 1, 1)
+        assert _image(parse("A")) == (1, -1, 0, 1, -1)
+        assert _image(parse("B")) == (1, 0, 1, 1, -1)
+        assert burau_reference.image(parse("a")) == (laurent({1: -1}), laurent({0: 1}), ZERO, laurent({0: 1}))
+        assert burau_reference.image(parse("b")) == (laurent({0: 1}), ZERO, laurent({1: 1}), laurent({1: -1}))
+        assert burau_reference.image(parse("A")) == (
+            laurent({-1: -1}), laurent({-1: 1}), ZERO, laurent({0: 1})
+        )
 
     def test_identity_and_inverses(self):
-        assert burau(BraidWord()).is_identity()
+        assert _image(BraidWord()) == IDENTITY
         for text in ("a", "b"):
             w = parse(text)
-            assert (burau(w) * burau(w.inverse())).is_identity()
+            assert mul(_image(w), _image(w.inverse())) == IDENTITY
+            assert burau_reference.image(w * w.inverse()) == burau_reference.image(BraidWord())
 
     def test_braid_relation(self):
-        assert burau(parse("aba")) == burau(parse("bab"))
+        assert _image(parse("aba")) == _image(parse("bab"))
+        assert burau_reference.image(parse("aba")) == burau_reference.image(parse("bab"))
 
     def test_full_twist_is_central_scalar(self):
-        d2 = burau(delta_power(2))
-        assert d2.m12.is_zero() and d2.m21.is_zero()
-        assert d2.m11.coefficients == {3: 1} and d2.m22.coefficients == {3: 1}
+        assert _image(delta_power(2)) == (-1, 0, 0, -1, 6)
+        assert _image(delta_power(4)) == (1, 0, 0, 1, 12)
+        t3 = laurent({3: 1})
+        assert burau_reference.image(delta_power(2)) == (t3, ZERO, ZERO, t3)
         for text in ("a", "b"):
-            m = burau(parse(text))
-            assert d2 * m == m * d2
+            m = _image(parse(text))
+            assert mul(_image(delta_power(2)), m) == mul(m, _image(delta_power(2)))
 
     def test_determinant_is_signed_t_power(self, rng):
+        # det = (-t)^writhe in the reference, which is 1 at t = -1
         for _ in range(50):
             w = random_word(rng, rng.randrange(0, 12))
-            det = burau(w).determinant()
+            m11, m12, m21, m22, _ = _image(w)
+            assert m11 * m22 - m12 * m21 == 1
+            r11, r12, r21, r22 = burau_reference.image(w)
+            det = product(r11, r22)
+            for e, c in product(r12, r21).items():
+                det[e] = det.get(e, 0) - c
             wr = w.writhe()
-            assert det.coefficients == {wr: (-1) ** (wr % 2)}
+            assert {e: c for e, c in det.items() if c} == {wr: (-1) ** (wr % 2)}
 
     def test_homomorphism_exhaustive_short(self):
         words = [w for w in reduced_words(3)]
         for u, v in itertools.product(words, words):
-            assert burau(u * v) == burau(u) * burau(v)
+            assert _image(u * v) == mul(_image(u), _image(v))
 
     def test_homomorphism_random_long(self, rng):
         for _ in range(1000):
             u = random_word(rng, rng.randrange(0, 20))
             v = random_word(rng, rng.randrange(0, 20))
-            assert burau(u * v) == burau(u) * burau(v)
+            assert _image(u * v) == mul(_image(u), _image(v))
+
+    def test_same_partition_as_reference(self):
+        words = list(reduced_words(7))
+        assert len(words) == 4373
+        pairs = {(_image(w), burau_reference.image(w)) for w in words}
+        assert len({p for p, _ in pairs}) == len({q for _, q in pairs}) == len(pairs) == 1233
 
 
 class TestWordsEqual:
@@ -106,15 +126,18 @@ class TestWordsEqual:
     def test_distinct_words(self):
         assert not words_equal(parse("ab"), parse("ba"))
 
+    def test_kernel_generator_is_not_the_identity(self):
+        # D^4 has the identity matrix; only its writhe tells it apart
+        assert not words_equal(BraidWord(), delta_power(4))
+        assert words_equal(delta_power(4), parse("ab") ** 6)
+
     def test_equivalence_relation_sample(self, rng):
         words = [random_word(rng, rng.randrange(0, 8)) for _ in range(30)]
         for u in words:
             assert words_equal(u, u)
         for u, v in itertools.combinations(words, 2):
             assert words_equal(u, v) == words_equal(v, u)
-            # equality refines fingerprint equality
-            if words_equal(u, v):
-                assert fingerprint(u) == fingerprint(v)
+            assert words_equal(u, v) == burau_reference.words_equal(u, v)
 
     def test_conjugates_to(self, rng):
         for _ in range(50):
@@ -122,16 +145,31 @@ class TestWordsEqual:
             c = random_word(rng, rng.randrange(0, 6))
             assert conjugates_to(c, w, c * w * c.inverse())
 
+    def test_long_exponents_classify_with_the_check(self):
+        # one step per syllable: the exponents cost nothing
+        word = parse("a^16000 b^16000 a^3 b^2")
+        start = time.perf_counter()
+        gform, gcert = garside_normal_form(word)
+        mform, mcert = murasugi_from_garside(gform, gcert)
+        assert time.perf_counter() - start < 5
+        assert gform == GarsideC(0, ((16000, 3), (2, 16000)))
+        assert mform.case == "generic"
+
 
 class TestFingerprint:
+    """The reference Burau trace: a conjugacy invariant, and the fingerprint
+    the soundness tests compare between a word and its normal form."""
+
     def test_conjugation_invariance(self, rng):
         for _ in range(100):
             w = random_word(rng, rng.randrange(0, 10))
             u = random_word(rng, rng.randrange(0, 6))
-            assert fingerprint(u * w * u.inverse()) == fingerprint(w)
+            assert burau_reference.trace(u * w * u.inverse()) == burau_reference.trace(w)
 
     def test_cyclic_example(self):
-        assert fingerprint(parse("aba")) == fingerprint(parse("a^2 b"))
+        assert burau_reference.trace(parse("aba")) == burau_reference.trace(parse("a^2 b"))
 
     def test_writhe_separates(self):
-        assert fingerprint(parse("ab")) != fingerprint(parse("a^3 b"))
+        # writhe 2 against writhe 4: traces -t and -t^2
+        assert burau_reference.trace(parse("ab")) == laurent({1: -1})
+        assert burau_reference.trace(parse("a^3 b")) == laurent({2: -1})

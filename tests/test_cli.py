@@ -3,8 +3,9 @@ import json
 import pytest
 
 import braid3.cli
+import braid3.cobordism
 from braid3.cli import main
-from braid3.normal_form import InternalInconsistencyError
+from braid3.normal_form import ConjugacyCertificate, InternalInconsistencyError
 
 
 def run(capsys, *argv):
@@ -31,6 +32,25 @@ class TestNormalize:
         code, out, _ = run(capsys, "normalize", "--certificate", "b a^3 b a^-3")
         assert code == 0
         assert "verified: yes" in out
+
+    def test_certificate_checked_once(self, capsys, monkeypatch):
+        calls = []
+        real = ConjugacyCertificate.verify
+
+        def counting(cert):
+            calls.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(ConjugacyCertificate, "verify", counting)
+        code, out, _ = run(capsys, "normalize", "--json", "--certificate", "a^5 b^5 a^3 b^2")
+        assert code == 0 and len(calls) == 1
+        # the line printed before the second check was dropped
+        assert out == (
+            '{"input": "a^5 b^5 a^3 b^2", "form": {"display": "a^5 b^3 a^2 b^5", '
+            '"case": "C", "ell": 0, "pairs": [[5, 3], [2, 5]]}, "certificate": '
+            '{"conjugator": "a b A^4", "source": "a^5 b^5 a^3 b^2", '
+            '"target": "a^5 b^3 a^2 b^5", "verified": true}}\n'
+        )
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "normalize", "a^3 q")
@@ -110,6 +130,34 @@ class TestCertify:
         data = json.loads(out)
         assert code == 0 and data["verified"] is True and data["genus"] == "1/1"
 
+    @pytest.mark.parametrize("argv, line", [
+        (("a^2 b^2 a^3 b^3", "--kind", "torus-sum"),
+         '{"kind": "torus-sum", "start": "a^2 b^2 a^3 b^3", "end": "T(2,5) # T(2,3) # T(2,3)", '
+         '"end_factors": [{"type": "torus", "q": 5}, {"type": "torus", "q": 3}, '
+         '{"type": "torus", "q": 3}], "moves": [{"kind": "insert_generator", "position": 1, '
+         '"generator": "b"}, {"kind": "split_to_connected_sum", "position": 1, "generator": "b"}], '
+         '"euler_char": -2, "genus": "1/1", "verified": true}'),
+        (("a b", "--kind", "twist", "--n", "1"),
+         '{"kind": "twist", "start": "a b^3", "end": "closure(a b) # T(2,3)", '
+         '"end_factors": [{"type": "closure", "word": "a b"}, {"type": "torus", "q": 3}], '
+         '"moves": [{"kind": "insert_generator", "position": 1, "generator": "b"}, '
+         '{"kind": "split_to_connected_sum", "position": 1, "generator": "b"}], '
+         '"euler_char": -2, "genus": "1/1", "verified": true}'),
+    ], ids=["torus-sum", "twist"])
+    def test_one_replay(self, capsys, monkeypatch, argv, line):
+        calls = []
+        real = braid3.cobordism.verify
+
+        def counting(cert):
+            calls.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(braid3.cobordism, "verify", counting)
+        monkeypatch.setattr(braid3.cli, "verify_cobordism", counting)
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == 0 and len(calls) == 1
+        assert out == line + "\n"
+
     def test_precondition_exit_code(self, capsys):
         code, _, err = run(capsys, "certify", "a^3", "--kind", "torus-sum")
         assert code == 3 and "not a knot" in err
@@ -124,7 +172,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "ab", "ba")
         data = json.loads(out)
         assert code == 1 and data["equal_in_b3"] is False
-        assert data["conjugacy_fingerprints_match"] is True
+        assert data["conjugate_in_b3"] is True
+
+    def test_non_conjugate_words(self, capsys):
+        # D(4,2;3) and D(4,3;2): equal writhe and equal Burau traces
+        code, out, _ = run(capsys, "verify", "b a B a^2 B^3", "B a B^2 a^2")
+        assert code == 1
+        assert json.loads(out) == {"equal_in_b3": False, "conjugate_in_b3": False}
 
     def test_certificate_file_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
@@ -220,3 +274,15 @@ class TestWordLengthGuard:
         assert code == 2 and "BRAID3_MAX_WORD_LEN" in err
         code, _, _ = run(capsys, "invariants", "a^8")
         assert code == 0
+
+    def test_invalid_env_guard(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "abc")
+        code, out, err = run(capsys, "invariants", "ab")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\none,ab\ntwo,a^3 b^3\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and all("BRAID3_MAX_WORD_LEN" in r["error"] for r in rows)
+        assert "2 processed, 2 errors" in err

@@ -7,6 +7,7 @@ from braid3.words import (
     BraidWord,
     ParseError,
     Syllable,
+    WordLimitError,
     cycle_type,
     delta_power,
     parse,
@@ -73,6 +74,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a^11")
         assert runs(parse("a^10")) == [("a", 10)]
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3"])
+    def test_invalid_length_guard_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", raw)
+        with pytest.raises(WordLimitError, match="BRAID3_MAX_WORD_LEN"):
+            parse("ab")
 
     def test_display_round_trip(self, rng):
         for _ in range(100):
