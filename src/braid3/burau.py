@@ -23,18 +23,20 @@ from __future__ import annotations
 from .words import GEN_A, BraidWord
 
 
-def _image(word: BraidWord) -> tuple[int, int, int, int, int]:
-    """(m11, m12, m21, m22, writhe) of the word."""
+def _image(*words: BraidWord) -> tuple[int, int, int, int, int]:
+    """(m11, m12, m21, m22, writhe) of the product of the words, folded one
+    syllable at a time, so the product word is never built."""
     m11, m12, m21, m22, writhe = 1, 0, 0, 1, 0
-    for s in word.syllables:
-        k = s.exp
-        writhe += k
-        if s.gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
-            m12 += k * m11
-            m22 += k * m21
-        else:  # right-multiply by b^k = [[1, 0], [-k, 1]]
-            m11 -= k * m12
-            m21 -= k * m22
+    for word in words:
+        for s in word.syllables:
+            k = s.exp
+            writhe += k
+            if s.gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
+                m12 += k * m11
+                m22 += k * m21
+            else:  # right-multiply by b^k = [[1, 0], [-k, 1]]
+                m11 -= k * m12
+                m21 -= k * m22
     return m11, m12, m21, m22, writhe
 
 
@@ -46,4 +48,4 @@ def words_equal(u: BraidWord, v: BraidWord) -> bool:
 def conjugates_to(conjugator: BraidWord, source: BraidWord, target: BraidWord) -> bool:
     """Check conjugator * source * conjugator^-1 = target, rearranged as
     conjugator * source = target * conjugator to avoid inverses."""
-    return _image(conjugator * source) == _image(target * conjugator)
+    return _image(conjugator, source) == _image(target, conjugator)

@@ -16,25 +16,29 @@ and to exactly one classical (Murasugi) shape
   torus      D^(2l) ab   or   D^(2l) (ab)^2
   generic    D^(2l) a^-p1 b^q1 ... a^-pr b^qr  all p_i, q_i >= 1.
 
-The classifier works constructively: eliminate inverse letters through the
-central substitution a^-1 = D^-2 babab (and the b analogue), greedily pull
-half twists out of the positive remainder, then sort the residue into its
-case with explicit conjugations.  Every step either preserves the group
-element on the nose or conjugates by a recorded word, so each result ships
-with a ConjugacyCertificate.  The exact word-problem oracle of module burau
-(the SL2(Z) image of the braid paired with its writhe) checks every
-certificate before it is returned.
+The classifier works constructively: eliminate inverse letters through
+a^-1 = D^-1 ab and b^-1 = D^-1 ba, pull half twists out of the positive
+remainder in one stack pass, then sort the residue into its case with
+explicit conjugations.  Every step either preserves the group element on
+the nose or conjugates by a recorded word, so each result ships with a
+ConjugacyCertificate.  The exact word-problem oracle of module burau (the
+SL2(Z) image of the braid paired with its writhe) checks every certificate
+before it is returned.  Each stage is linear in the letter count of the
+split word, apart from sorting the distinct blocks of the rotation below.
 
 Canonical rotation: among all cyclic rotations of the exponent sequence
 (2r of them for case C, 2r-1 for case D -- odd shifts exchange the roles
 of a and b, which is a conjugation by the half twist), take those with the
 largest leading exponent and break ties by the lexicographically smallest
 full sequence.  Murasugi generic forms rotate by whole (a^-p, b^q) pairs
-and take the lexicographically smallest flattened sequence.
+and take the lexicographically smallest flattened sequence.  Both are
+found with Booth's least-rotation scan (Booth, "Lexicographically least
+circular substrings", IPL 1980).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .burau import conjugates_to, words_equal
@@ -256,28 +260,41 @@ class DeltaSplit:
         )
 
 
-_NEG_A = BraidWord.from_runs([(GEN_B, 1), (GEN_A, 1), (GEN_B, 1), (GEN_A, 1), (GEN_B, 1)])
-_NEG_B = BraidWord.from_runs([(GEN_A, 1), (GEN_B, 1), (GEN_A, 1), (GEN_B, 1), (GEN_A, 1)])
+#: generator <-> bit, so that exchanging a and b (tau) is an XOR with 1
+_BIT = {GEN_A: 0, GEN_B: 1}
+_GEN = (GEN_A, GEN_B)
+
+#: the half twist D = aba, as conjugator runs
+_D_RUNS = [(GEN_A, 1), (GEN_B, 1), (GEN_A, 1)]
 
 
 def delta_positive_split(word: BraidWord) -> DeltaSplit:
     """Rewrite word = D^(2k) * P with k <= 0 and P a positive word.
 
-    Each inverse letter is replaced through the central identities
-    a^-1 = D^-2 babab and b^-1 = D^-2 ababa, and the D^-2 factors are
-    pulled to the front.  Pure word arithmetic, no conjugation.
+    Each inverse letter is replaced through a^-1 = D^-1 ab and
+    b^-1 = D^-1 ba, and each D^-1 is pulled to the front through
+    u D^-1 = D^-1 tau(u), where tau exchanges a and b.  A letter is stored
+    as its generator XOR the parity of the D^-1 emitted so far, so pulling
+    one through the whole prefix costs nothing; the generators are read off
+    against the total m at the end.  If m is odd, D^-m = D^-(m+1) aba puts
+    one D into P.  P has 2 letters per inverse letter, plus 3 when m is
+    odd.  Pure word arithmetic, no conjugation.
     """
-    k = 0
-    runs: list[tuple[str, int]] = []
+    rel: list[tuple[int, int]] = []  # (generator bit XOR parity of m so far, exponent)
+    m = 0
     for s in word:
+        g = _BIT[s.gen]
         if s.exp > 0:
-            runs.append((s.gen, s.exp))
-        else:
-            k -= -s.exp
-            rep = _NEG_A if s.gen == GEN_A else _NEG_B
-            for _ in range(-s.exp):
-                runs.extend((t.gen, t.exp) for t in rep)
-    return DeltaSplit(k=k, positive_part=BraidWord.from_runs(runs), source=word)
+            rel.append((g ^ (m & 1), s.exp))
+            continue
+        for _ in range(-s.exp):
+            m += 1
+            x = g ^ (m & 1)
+            rel.append((x, 1))
+            rel.append((x ^ 1, 1))
+    flip = m & 1
+    runs = (_D_RUNS if flip else []) + [(_GEN[x ^ flip], e) for x, e in rel]
+    return DeltaSplit(k=-((m + 1) // 2), positive_part=BraidWord.from_runs(runs), source=word)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +308,24 @@ class _State:
         D^n * runs  =  conj * original * conj^-1   in B3.
 
     Runs are mutable [gen, exp] pairs with exp >= 1, adjacent generators
-    distinct.
+    distinct.  Each conjugation multiplies conj on the left; the pieces are
+    kept in the order they were applied and reversed once by conjugator().
     """
 
-    __slots__ = ("n", "runs", "conj_runs")
+    __slots__ = ("n", "runs", "pieces")
 
     def __init__(self, n: int, positive: BraidWord):
         self.n = n
         self.runs: list[list] = [[s.gen, s.exp] for s in positive]
-        self.conj_runs: list[tuple[str, int]] = []
+        self.pieces: list[list[tuple[str, int]]] = []
 
     # -- conjugator bookkeeping (left-composed) --
 
     def _conjugate(self, runs: list[tuple[str, int]]) -> None:
-        self.conj_runs = runs + self.conj_runs
+        self.pieces.append(runs)
 
     def conjugator(self) -> BraidWord:
-        return BraidWord.from_runs(self.conj_runs)
+        return BraidWord.from_runs(run for piece in reversed(self.pieces) for run in piece)
 
     # -- primitive moves --
 
@@ -317,21 +335,7 @@ class _State:
     def swap(self) -> None:
         """Conjugate by D: exchanges the two generators in the tail."""
         self.runs = [[_OTHER[g], e] for g, e in self.runs]
-        self._conjugate([(GEN_A, 1), (GEN_B, 1), (GEN_A, 1)])
-
-    def rotate_letter(self) -> None:
-        """Move the first letter past D^n to the end of the tail."""
-        g, e = self.runs[0]
-        if e > 1:
-            self.runs[0][1] = e - 1
-        else:
-            self.runs.pop(0)
-        moved = g if self.n % 2 == 0 else _OTHER[g]
-        if self.runs and self.runs[-1][0] == moved:
-            self.runs[-1][1] += 1
-        else:
-            self.runs.append([moved, 1])
-        self._conjugate([(moved, -1)])
+        self._conjugate(_D_RUNS)
 
     def fold_tail(self) -> None:
         """Move the whole last run to the front of the tail (through D^n)."""
@@ -351,100 +355,130 @@ class _State:
 
     # -- half-twist extraction --
 
-    def _extract_at(self, j: int) -> None:
-        """Extract g.h.g = D at the single-letter run j (interior)."""
-        runs = self.runs
-        left = runs[: j - 1]
-        if runs[j - 1][1] > 1:
-            left = left + [[runs[j - 1][0], runs[j - 1][1] - 1]]
-        right = runs[j + 2 :]
-        if runs[j + 1][1] > 1:
-            right = [[runs[j + 1][0], runs[j + 1][1] - 1]] + right
-        # u D v = D tau(u) v
-        flipped = [[_OTHER[g], e] for g, e in left]
-        merged: list[list] = []
-        for g, e in flipped + right:
-            if merged and merged[-1][0] == g:
-                merged[-1][1] += e
-            else:
-                merged.append([g, e])
-        self.runs = merged
-        self.n += 1
-
-    def _find_interior_single(self) -> int | None:
-        for j in range(1, len(self.runs) - 1):
-            if self.runs[j][1] == 1:
-                return j
-        return None
-
-    def _cyclically_extractable(self) -> bool:
-        """Whether some conjugate of the tail still contains a half twist.
-
-        Rotating the tail through D^n wraps it onto itself, with the
-        generators exchanged when n is odd.  A half twist is available
-        exactly when that periodic word has a run of length 1, which --
-        once interior singles are exhausted -- can only happen at the
-        seam, and only when the seam does not merge the boundary runs.
-        """
-        if self.letter_length() < 3 or len(self.runs) < 2:
-            return False
-        if len(self.runs) % 2 != self.n % 2:
-            return False  # boundary runs merge across the seam
-        return self.runs[0][1] == 1 or self.runs[-1][1] == 1
-
     def extract_half_twists(self) -> None:
-        """Pull out D factors until no rotation of the tail exposes one."""
+        """Pull out D factors until no rotation of the tail exposes one.
+
+        One left-to-right pass pushes the runs onto a stack.  Every stack
+        run strictly between the bottom and the one below the top has
+        exponent >= 2, so when the run below the top is a single h between
+        g-runs, g h g = D is extracted there: u D v = D tau(u) v moves it to
+        the front and exchanges the generators of the stack below.  An entry
+        stores its generator bit XOR the parity of n when pushed, so that
+        exchange is n += 1.
+
+        When the input is used up, the tail still has a half twist exactly
+        when its rotation through D^n does: a single at the bottom or the
+        top of the stack whose seam does not merge the two boundary runs.
+        The pass then continues by rotating the bottom letter onto the top,
+        conjugating it through D^n.  Each extraction removes three letters
+        and follows at most two such rotations, so the work is linear in
+        the letter count.
+        """
+        n = self.n
+        stack: deque[list[int]] = deque()  # [generator bit XOR parity of n at push, exp]
+        pending = deque((_BIT[g], e) for g, e in self.runs)  # actual generator bits
+        idle = 0  # rotations since the last extraction
         while True:
-            j = self._find_interior_single()
-            while j is not None:
-                self._extract_at(j)
-                j = self._find_interior_single()
-            if not self._cyclically_extractable():
-                return
-            # rotate until the seam single becomes interior; only the runs
-            # near the end can newly turn interior after each step
-            for _ in range(2 * self.letter_length() + 2):
-                self.rotate_letter()
-                if len(self.runs) >= 3 and self.runs[-2][1] == 1:
-                    break
-            else:
+            while pending:
+                g, e = pending.popleft()
+                if stack and stack[-1][0] ^ (n & 1) == g:
+                    stack[-1][1] += e
+                else:
+                    stack.append([g ^ (n & 1), e])
+                if len(stack) >= 3 and stack[-2][1] == 1:
+                    top = stack.pop()
+                    stack.pop()
+                    if stack[-1][1] == 1:
+                        stack.pop()
+                    else:
+                        stack[-1][1] -= 1
+                    if top[1] > 1:
+                        pending.appendleft((top[0] ^ (n & 1), top[1] - 1))
+                    n += 1
+                    idle = 0
+            # a seam that merges the boundary runs, or a tail of at most
+            # two letters, exposes no half twist
+            if (
+                len(stack) < 2
+                or len(stack) % 2 != n % 2
+                or (len(stack) == 2 and stack[0][1] + stack[1][1] < 3)
+                or (stack[0][1] > 1 and stack[-1][1] > 1)
+            ):
+                break
+            idle += 1
+            if idle > 2:
                 raise InternalInconsistencyError(
                     "expected half twist did not surface under rotation"
                 )
+            bottom = stack[0]
+            if bottom[1] == 1:
+                stack.popleft()
+            else:
+                bottom[1] -= 1
+            # through D^n the letter's generator becomes its stored bit
+            pending.append((bottom[0], 1))
+            self._conjugate([(_GEN[bottom[0]], -1)])
+        self.n = n
+        self.runs = [[_GEN[g ^ (n & 1)], e] for g, e in stack]
 
 
-def _flatten_C(pairs: list[tuple[int, int]]) -> list[int]:
-    seq = []
-    for p, q in pairs:
-        seq.append(p)
-        seq.append(q)
-    return seq
+def _least_rotation(seq: list) -> int:
+    """Smallest start index of the lexicographically least rotation of seq,
+    by Booth's failure-function scan: O(len(seq)) comparisons."""
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:  # so i == -1
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def _canonical_shift(seq: list[int]) -> int:
     """Index of the canonical rotation: maximal leading exponent, then
-    lexicographically smallest full sequence."""
-    m = len(seq)
-    rots = [tuple(seq[i:] + seq[:i]) for i in range(m)]
-    best = min(range(m), key=lambda i: (-rots[i][0], rots[i]))
-    return best
+    lexicographically smallest full sequence.
+
+    The candidates start where the maximum M sits, so cut the cyclic
+    sequence into blocks that each start with M and hold no other M.  Two
+    candidates compare like their block sequences, block by block, except
+    that a block that is a proper prefix of another is the larger one: M
+    follows it, something smaller than M follows in the other.  Appending
+    M to each block makes plain tuple order say the same, so rank the
+    distinct blocks and take the least rotation of the ranks.
+    """
+    top = max(seq)
+    starts = [i for i, e in enumerate(seq) if e == top]
+    ends = starts[1:] + [starts[0] + len(seq)]
+    doubled = seq + seq
+    blocks = [tuple(doubled[i:j]) + (top,) for i, j in zip(starts, ends)]
+    rank = {b: r for r, b in enumerate(sorted(set(blocks)))}
+    return starts[_least_rotation([rank[b] for b in blocks])]
 
 
-def _rotate_exponent_C(state: _State) -> None:
-    """One exponent-shift of a case-C tail: conjugate the leading a-run to
-    the back, then swap generators to restore the a-leading shape."""
-    g, e = state.runs.pop(0)
-    state.runs.append([g, e])
-    state._conjugate([(g, -e)])
-    state.swap()
-
-
-def _rotate_exponent_D(state: _State) -> None:
-    """One exponent-shift of a case-D tail (odd half-twist power)."""
-    g, e = state.runs.pop(0)
-    state.runs.append([_OTHER[g], e])
-    state._conjugate([(_OTHER[g], -e)])
-    state.swap()
+def _rotate_canonically(state: _State) -> list[int]:
+    """Rotate the exponents of an a-leading alternating tail left by the
+    canonical shift and return them.  Each leading a-run is conjugated to
+    the back through D^n, where it reads as b when n is odd, and a
+    conjugation by D makes the tail a-leading again."""
+    exps = [e for _, e in state.runs]
+    shift = _canonical_shift(exps)
+    moved = _GEN[state.n & 1]
+    for e in exps[:shift]:
+        state._conjugate([(moved, -e)])
+        state._conjugate(_D_RUNS)
+    exps = exps[shift:] + exps[:shift]
+    state.runs = [[_GEN[i & 1], e] for i, e in enumerate(exps)]
+    return exps
 
 
 def _classify(state: _State) -> GarsideForm:
@@ -479,32 +513,14 @@ def _classify(state: _State) -> GarsideForm:
             return GarsideB(n // 2, 1)
         if state.runs[-1][0] == GEN_A:
             state.fold_tail()
-        pairs = [
-            (state.runs[i][1], state.runs[i + 1][1])
-            for i in range(0, len(state.runs), 2)
-        ]
-        seq = _flatten_C(pairs)
-        for _ in range(_canonical_shift(seq)):
-            _rotate_exponent_C(state)
-        pairs = tuple(
-            (state.runs[i][1], state.runs[i + 1][1])
-            for i in range(0, len(state.runs), 2)
-        )
-        return GarsideC(n // 2, pairs)
+        exps = _rotate_canonically(state)
+        return GarsideC(n // 2, tuple(zip(exps[::2], exps[1::2])))
 
     # odd power of D
     if state.runs[-1][0] == GEN_B:
         state.fold_tail()
-    if len(state.runs) == 1:
-        return GarsideD((n - 1) // 2, (), state.runs[0][1])
-    seq = [e for _, e in state.runs]
-    for _ in range(_canonical_shift(seq)):
-        _rotate_exponent_D(state)
-    pairs = tuple(
-        (state.runs[i][1], state.runs[i + 1][1])
-        for i in range(0, len(state.runs) - 1, 2)
-    )
-    return GarsideD((n - 1) // 2, pairs, state.runs[-1][1])
+    exps = _rotate_canonically(state)
+    return GarsideD((n - 1) // 2, tuple(zip(exps[:-1:2], exps[1::2])), exps[-1])
 
 
 def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertificate]:
@@ -554,12 +570,8 @@ def _generic_from_slots(ell: int, slots: list[int]) -> tuple[MurasugiForm, int]:
 
 def _rotate_generic(form: MurasugiGeneric) -> tuple[MurasugiGeneric, int]:
     """Canonical pair rotation (lexicographically smallest flattening)."""
-    r = form.r
-    flats = []
-    for i in range(r):
-        rot = form.pairs[i:] + form.pairs[:i]
-        flats.append(tuple(x for pq in rot for x in pq))
-    best = min(range(r), key=lambda i: flats[i])
+    # the flattenings compare like the pair sequences, pairs as tuples
+    best = _least_rotation(list(form.pairs))
     rotated = form.pairs[best:] + form.pairs[:best]
     return MurasugiGeneric(form.ell, rotated), best
 

@@ -145,6 +145,26 @@ class TestWordsEqual:
             c = random_word(rng, rng.randrange(0, 6))
             assert conjugates_to(c, w, c * w * c.inverse())
 
+    def test_conjugates_to_agrees_with_reference(self, rng):
+        # the oracle folds conjugator, source and target without building
+        # the two products; the reference multiplies the words out
+        verdicts = []
+        for i in range(300):
+            c = random_word(rng, rng.randrange(0, 8))
+            s = random_word(rng, rng.randrange(0, 10))
+            t = c * s * c.inverse()
+            c, t = [
+                (c, t),
+                (c * delta_power(2), t),  # D^2 is central
+                (c, delta_power(4) * t),  # same matrix, writhe + 12
+                (c, t * random_word(rng, rng.randrange(1, 3))),
+                (c, random_word(rng, rng.randrange(0, 10))),
+            ][i % 5]
+            verdict = conjugates_to(c, s, t)
+            assert verdict == burau_reference.conjugates(c, s, t)
+            verdicts.append(verdict)
+        assert 100 < sum(verdicts) < 200
+
     def test_long_exponents_classify_with_the_check(self):
         # one step per syllable: the exponents cost nothing
         word = parse("a^16000 b^16000 a^3 b^2")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braid3
 import braid3.cli
 import braid3.cobordism
 from braid3.cli import main
@@ -286,3 +291,15 @@ class TestWordLengthGuard:
         rows = [json.loads(line) for line in out.splitlines()]
         assert code == 0 and all("BRAID3_MAX_WORD_LEN" in r["error"] for r in rows)
         assert "2 processed, 2 errors" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        # runs from the source tree, as `PYTHONPATH=src python -m braid3`
+        src = str(Path(braid3.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "braid3", "normalize", "a^3 B a^-3 B"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "D^-3 a^7\n", "")

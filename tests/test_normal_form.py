@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from braid3.burau import conjugates_to, words_equal
 from braid3.normal_form import (
+    ConjugacyCertificate,
     GarsideA,
     GarsideB,
     GarsideC,
@@ -14,9 +15,12 @@ from braid3.normal_form import (
     MurasugiHalfTwist,
     MurasugiPower,
     MurasugiTorus,
+    _canonical_shift,
+    _least_rotation,
     delta_positive_split,
     form_display,
     garside_normal_form,
+    murasugi_from_garside,
     murasugi_normal_form,
     realize,
 )
@@ -38,18 +42,29 @@ class TestDeltaPositiveSplit:
         assert split.verify()
 
     def test_single_inverse_letter(self):
+        # A = D^-1 ab = D^-2 aba ab: an odd count folds one D = aba into P
         split = delta_positive_split(parse("A"))
         assert split.k == -1
-        assert split.positive_part == parse("babab")
+        assert split.positive_part == parse("a b a^2 b")
         assert split.verify()
 
     def test_mixed_word(self):
-        # five inverse letters, one half-twist pair each
+        # five inverse letters, one D^-1 each, and one D folded back
         split = delta_positive_split(parse("a^3 B a^-3 B"))
-        assert split.k == -5
-        assert split.positive_part.writhe() == 28
-        assert all(s.exp > 0 for s in split.positive_part)
+        assert split.k == -3
+        assert split.positive_part == parse("a b a b^4 a b a^2 b^2 a b a")
         assert split.verify()
+
+    def test_exact_letter_count(self, rng):
+        # 2 letters per inverse letter, plus 3 when their count is odd
+        for _ in range(300):
+            w = random_word(rng, rng.randrange(0, 30))
+            inverse = sum(-s.exp for s in w if s.exp < 0)
+            positive = sum(s.exp for s in w if s.exp > 0)
+            split = delta_positive_split(w)
+            assert len(split.positive_part) == positive + 2 * inverse + 3 * (inverse % 2)
+            assert split.k == -((inverse + 1) // 2)
+            assert split.verify()
 
 
 class TestGarsideExamples:
@@ -238,7 +253,38 @@ class TestMurasugi:
                 assert all(p >= 1 and q >= 1 for p, q in form.pairs)
 
 
+def _all_rotations_canonical(seq):
+    """The canonical rotation by its definition: of all rotations, those
+    with the largest leading exponent, then the lexicographically least."""
+    rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
+    return min(rotations, key=lambda rot: (-rot[0], rot))
+
+
+def _tie_heavy_sequences(rng):
+    yield from ([2, 2, 2, 2], [3, 2, 3, 2], [2], [7], [3, 2, 3, 2, 3], [3, 3, 2, 3, 2])
+    for _ in range(400):
+        yield [rng.choice((2, 3)) for _ in range(rng.randint(1, 12))]
+    for _ in range(200):
+        block = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 4))]
+        yield block * rng.randint(2, 4)
+    for _ in range(200):
+        yield [rng.randint(2, 9) for _ in range(rng.randint(1, 15))]
+
+
 class TestCanonicalRotation:
+    def test_shift_matches_all_rotations_reference(self, rng):
+        for seq in _tie_heavy_sequences(rng):
+            shift = _canonical_shift(seq)
+            assert seq[shift:] + seq[:shift] == _all_rotations_canonical(seq), seq
+
+    def test_least_rotation_of_pairs(self, rng):
+        # the Murasugi generic rotation compares (p, q) pairs as tuples
+        for seq in _tie_heavy_sequences(rng):
+            pairs = list(zip(seq, seq[1:] + seq[:1]))
+            best = _least_rotation(pairs)
+            least = min(pairs[i:] + pairs[:i] for i in range(len(pairs)))
+            assert pairs[best:] + pairs[:best] == least, pairs
+
     def test_rotations_classify_identically(self, rng):
         for _ in range(60):
             r = rng.randint(2, 3)
@@ -268,3 +314,43 @@ class TestMirrorTorusFamily:
             assert garside_normal_form(word)[0] == GarsideB(-ell - 1, 3)
             word = realize(GarsideB(ell, 3)).mirror()
             assert garside_normal_form(word)[0] == GarsideB(-ell - 1, 1)
+
+
+def _reduced_word(rng, length):
+    """A random freely reduced word of exactly `length` letters."""
+    letters = [LETTER_RUNS[rng.randrange(4)]]
+    while len(letters) < length:
+        g, e = LETTER_RUNS[rng.randrange(4)]
+        if (g, -e) != letters[-1]:
+            letters.append((g, e))
+    return BraidWord.from_runs(letters)
+
+
+class TestLongInputs:
+    """Words far beyond the sweep.  Classifying is linear in the letter
+    count, so these take seconds; no timing is asserted."""
+
+    def test_long_words_classify_with_checked_certificates(self, monkeypatch):
+        verdicts = []
+        real = ConjugacyCertificate.verify
+
+        def recording(cert):
+            verdicts.append(real(cert))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ConjugacyCertificate, "verify", recording)
+        cases = [
+            (parse("A^20000 b^3"), GarsideC(-10000, ((5, 2),) + ((2, 2),) * 9999),
+             MurasugiGeneric(0, ((20000, 3),))),
+            (parse("D^-10000 a"), GarsideA(-5000, 1), MurasugiPower(-5000, 1)),
+            (parse("a^2 b^2") ** 5000, GarsideC(0, ((2, 2),) * 5000), MurasugiPower(5000, -10000)),
+            (parse("ab") ** 15000, GarsideA(5000, 0), MurasugiPower(5000, 0)),
+            (_reduced_word(random.Random(30000), 30000), None, None),
+        ]
+        for word, garside, murasugi in cases:
+            gform, gcert = garside_normal_form(word)
+            mform, _ = murasugi_from_garside(gform, gcert)
+            if garside is not None:
+                assert (gform, mform) == (garside, murasugi)
+        assert len(cases[-1][0]) == 30000
+        assert verdicts == [True] * (2 * len(cases))
