@@ -28,10 +28,9 @@ def _image(*words: BraidWord) -> tuple[int, int, int, int, int]:
     syllable at a time, so the product word is never built."""
     m11, m12, m21, m22, writhe = 1, 0, 0, 1, 0
     for word in words:
-        for s in word.syllables:
-            k = s.exp
+        for gen, k in word.syllables:
             writhe += k
-            if s.gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
+            if gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
                 m12 += k * m11
                 m22 += k * m21
             else:  # right-multiply by b^k = [[1, 0], [-k, 1]]

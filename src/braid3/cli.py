@@ -22,7 +22,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from fractions import Fraction
 
 from .burau import words_equal
@@ -64,8 +64,9 @@ def _interval_json(iv: IntInterval | None):
 
 
 def _form_json(form) -> dict:
-    # the form's fields in declaration order; pair tuples dump as JSON arrays
-    return {"display": form_display(form), "case": form.case, **asdict(form)}
+    # the form's fields in declaration order, read shallowly; pair tuples dump as JSON arrays
+    shallow = {f.name: getattr(form, f.name) for f in fields(form)}
+    return {"display": form_display(form), "case": form.case, **shallow}
 
 
 def report_json(report: InvariantReport) -> dict:

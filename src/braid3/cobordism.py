@@ -26,7 +26,7 @@ from .normal_form import (
     garside_normal_form,
     realize,
 )
-from .words import GEN_A, GEN_B, BraidWord
+from .words import GEN_A, GEN_B, BraidWord, _word
 
 
 class PreconditionError(ValueError):
@@ -140,7 +140,7 @@ def _cyclic_positive_normalize(word: BraidWord) -> BraidWord:
         raise PreconditionError("word must be positive")
     if not word:
         raise PreconditionError("word must be nonempty")
-    runs = [[s.gen, s.exp] for s in word]
+    runs = [[g, e] for g, e in word]
     if len(runs) == 1:
         raise PreconditionError("word uses only one generator")
     if runs[0][0] == runs[-1][0]:
@@ -148,7 +148,7 @@ def _cyclic_positive_normalize(word: BraidWord) -> BraidWord:
         runs[0][1] += head[1]
     if runs[0][0] == GEN_B:
         runs = runs[1:] + runs[:1]
-    return BraidWord.from_runs([(g, e) for g, e in runs])
+    return _word(runs)
 
 
 def torus_sum_cobordism(word: BraidWord) -> CobordismCertificate:
@@ -163,34 +163,32 @@ def torus_sum_cobordism(word: BraidWord) -> CobordismCertificate:
     if not word.is_knot():
         raise PreconditionError("closure is not a knot")
     start = _cyclic_positive_normalize(word)
-    pairs = _alternating_pairs(start)
-    r = len(pairs)
-
-    moves: list[SaddleMove] = []
-    a_total = sum(p for p, _ in pairs)
-    eps_p = (a_total + 1) % 2
-    if eps_p:
-        moves.append(SaddleMove(INSERT, 0, GEN_A))
-    q_repaired = []
-    for i, (_, q) in enumerate(pairs):
-        eps_i = (q + 1) % 2
-        if eps_i:
-            moves.append(SaddleMove(INSERT, 2 * i + 1, GEN_B))
-        q_repaired.append(q + eps_i)
-    moves.extend(SaddleMove(SPLIT, 2 * i + 1, GEN_B) for i in range(r - 1))
-
-    eps = eps_p + sum((q + 1) % 2 for _, q in pairs)
-    end = ConnectedSum(
-        (TorusFactor(a_total + eps_p),) + tuple(TorusFactor(q) for q in q_repaired)
-    )
-    cert = CobordismCertificate(
+    moves, factors = _torus_sum_plan(_alternating_pairs(start))
+    return _checked(CobordismCertificate(
         kind="torus-sum",
         start=start,
-        end=end,
-        moves=tuple(moves),
-        euler_char=-(r - 1 + eps),
-        genus=Fraction(r - 1 + eps, 2),
-    )
+        end=ConnectedSum(factors),
+        moves=moves,
+        euler_char=-len(moves),
+        genus=Fraction(len(moves), 2),
+    ))
+
+
+def _torus_sum_plan(
+    pairs: list[tuple[int, int]]
+) -> tuple[tuple[SaddleMove, ...], tuple[TorusFactor, ...]]:
+    """The moves and end factors of the torus-sum construction on
+    a^p1 b^q1 ... a^pr b^qr: an insert for the a-total and for each b-run
+    that is even, then r - 1 splits."""
+    a_total = sum(p for p, _ in pairs)
+    moves = [SaddleMove(INSERT, 0, GEN_A)] if a_total % 2 == 0 else []
+    moves += [SaddleMove(INSERT, 2 * i + 1, GEN_B) for i, (_, q) in enumerate(pairs) if q % 2 == 0]
+    moves += [SaddleMove(SPLIT, 2 * i + 1, GEN_B) for i in range(len(pairs) - 1)]
+    totals = [a_total] + [q for _, q in pairs]
+    return tuple(moves), tuple(TorusFactor(x + (x + 1) % 2) for x in totals)
+
+
+def _checked(cert: CobordismCertificate) -> CobordismCertificate:
     result = verify(cert)
     if not result:
         raise InternalInconsistencyError(
@@ -207,27 +205,22 @@ def twist_trick(gamma: BraidWord, n: int) -> CobordismCertificate:
         raise PreconditionError("twist count n must be >= 1")
     if not gamma.is_knot():
         raise PreconditionError("closure of gamma is not a knot")
-    start = gamma * BraidWord.from_runs([(GEN_B, 2 * n)])
-    pos = len(start.syllables) - 1
-    moves = (
-        SaddleMove(INSERT, pos, GEN_B),
-        SaddleMove(SPLIT, pos, GEN_B),
-    )
-    end = ConnectedSum((ClosureFactor(gamma), TorusFactor(2 * n + 1)))
-    cert = CobordismCertificate(
+    start, moves = _twist_plan(gamma, n)
+    return _checked(CobordismCertificate(
         kind="twist",
         start=start,
-        end=end,
+        end=ConnectedSum((ClosureFactor(gamma), TorusFactor(2 * n + 1))),
         moves=moves,
         euler_char=-2,
         genus=Fraction(1),
-    )
-    result = verify(cert)
-    if not result:
-        raise InternalInconsistencyError(
-            f"freshly built certificate failed: {result.reasons}"
-        )
-    return cert
+    ))
+
+
+def _twist_plan(gamma: BraidWord, n: int) -> tuple[BraidWord, tuple[SaddleMove, ...]]:
+    """Start word gamma b^(2n) and the insert and split on its last run."""
+    start = gamma * _word([(GEN_B, 2 * n)])
+    pos = len(start.syllables) - 1
+    return start, (SaddleMove(INSERT, pos, GEN_B), SaddleMove(SPLIT, pos, GEN_B))
 
 
 def _replay_torus_sum(cert: CobordismCertificate, reasons: list[str]) -> None:
@@ -236,23 +229,10 @@ def _replay_torus_sum(cert: CobordismCertificate, reasons: list[str]) -> None:
     except PreconditionError:
         reasons.append("start word does not fit the construction")
         return
-    r = len(pairs)
-    a_total = sum(p for p, _ in pairs)
-    expected: list[SaddleMove] = []
-    if a_total % 2 == 0:
-        expected.append(SaddleMove(INSERT, 0, GEN_A))
-    q_repaired = []
-    for i, (_, q) in enumerate(pairs):
-        if q % 2 == 0:
-            expected.append(SaddleMove(INSERT, 2 * i + 1, GEN_B))
-        q_repaired.append(q + (q + 1) % 2)
-    expected.extend(SaddleMove(SPLIT, 2 * i + 1, GEN_B) for i in range(r - 1))
-    if list(cert.moves) != expected:
+    moves, factors = _torus_sum_plan(pairs)
+    if tuple(cert.moves) != moves:
         reasons.append("move sequence does not match construction")
-    want_end = (TorusFactor(a_total + (a_total + 1) % 2),) + tuple(
-        TorusFactor(q) for q in q_repaired
-    )
-    if cert.end.factors != want_end:
+    if cert.end.factors != factors:
         reasons.append("end expression does not match construction")
 
 
@@ -269,16 +249,10 @@ def _replay_twist(cert: CobordismCertificate, reasons: list[str]) -> None:
     if torus.q < 3:
         reasons.append("twist region must have n >= 1")
         return
-    n = (torus.q - 1) // 2
-    want_start = gamma.word * BraidWord.from_runs([(GEN_B, 2 * n)])
-    if cert.start != want_start:
+    start, moves = _twist_plan(gamma.word, (torus.q - 1) // 2)
+    if cert.start != start:
         reasons.append("start word does not match construction")
-    pos = len(want_start.syllables) - 1
-    want_moves = (
-        SaddleMove(INSERT, pos, GEN_B),
-        SaddleMove(SPLIT, pos, GEN_B),
-    )
-    if cert.moves != want_moves:
+    if cert.moves != moves:
         reasons.append("move sequence does not match construction")
 
 
@@ -374,7 +348,7 @@ def _witness_word(form: GarsideForm) -> BraidWord:
                 runs += [(GEN_A, form.ell + 1)]
     else:
         raise PreconditionError("no witness word for this form")
-    return BraidWord.from_runs(runs)
+    return _word(runs)
 
 
 def alternating_distance_genus_bounds(form: GarsideForm) -> AlternatingGenusBounds:

@@ -32,11 +32,11 @@ from .normal_form import (
     MurasugiGeneric,
     MurasugiTorus,
     delta_exponent,
-    form_tail,
     garside_normal_form,
     murasugi_from_garside,
+    tail_runs,
 )
-from .words import BraidWord, delta_power
+from .words import KNOT_PERMS, BraidWord, delta_runs, runs_permutation
 
 
 class NotAKnotError(ValueError):
@@ -65,7 +65,8 @@ class IntInterval:
 
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
     # D^2 is a pure braid, so the closure's components depend on k mod 2 only
-    if not (delta_power(delta_exponent(form) % 2) * form_tail(form)).is_knot():
+    perm = runs_permutation(delta_runs(delta_exponent(form) % 2) + tail_runs(form))
+    if perm not in KNOT_PERMS:
         raise NotAKnotError(f"closure of {form} is not a knot")
 
 
@@ -137,7 +138,7 @@ def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
 
 def _positive_genus(form) -> int:
     # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
-    wr = 3 * delta_exponent(form) + form_tail(form).writhe()
+    wr = 3 * delta_exponent(form) + sum(e for _, e in tail_runs(form))
     if wr % 2:
         raise InternalInconsistencyError("odd writhe on a knot closure")
     return (wr - 2) // 2

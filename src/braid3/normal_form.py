@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .burau import conjugates_to, words_equal
-from .words import GEN_A, GEN_B, BraidWord, _OTHER, delta_power
+from .words import GEN_A, GEN_B, BraidWord, _OTHER, _word, delta_power, delta_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -210,21 +210,21 @@ def delta_exponent(form: GarsideForm | MurasugiForm) -> int:
     return 2 * form.ell
 
 
-def form_tail(form: GarsideForm | MurasugiForm) -> BraidWord:
-    """The word the form displays after its D^k prefix, k = delta_exponent(form)."""
-    return BraidWord.from_runs(_TAIL_RUNS[type(form)](form))
+def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
+    """The runs the form displays after its D^k prefix, k = delta_exponent(form)."""
+    return _TAIL_RUNS[type(form)](form)
 
 
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     """The literal braid word displayed by a normal form (D expanded)."""
-    return delta_power(delta_exponent(form)) * form_tail(form)
+    return _word(delta_runs(delta_exponent(form)) + tail_runs(form))
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:
     """Input-grammar rendering, D-power first, e.g. 'D^-3 a^7'."""
     k = delta_exponent(form)
     parts = [] if k == 0 else ["D" if k == 1 else f"D^{k}"]
-    body = form_tail(form).display()
+    body = _word(tail_runs(form)).display()
     if body:
         parts.append(body)
     return " ".join(parts)
@@ -294,7 +294,7 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             rel.append((x ^ 1, 1))
     flip = m & 1
     runs = (_D_RUNS if flip else []) + [(_GEN[x ^ flip], e) for x, e in rel]
-    return DeltaSplit(k=-((m + 1) // 2), positive_part=BraidWord.from_runs(runs), source=word)
+    return DeltaSplit(k=-((m + 1) // 2), positive_part=_word(runs), source=word)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ class _State:
 
     def __init__(self, n: int, positive: BraidWord):
         self.n = n
-        self.runs: list[list] = [[s.gen, s.exp] for s in positive]
+        self.runs: list[list] = [[g, e] for g, e in positive]
         self.pieces: list[list[tuple[str, int]]] = []
 
     # -- conjugator bookkeeping (left-composed) --
@@ -325,7 +325,7 @@ class _State:
         self.pieces.append(runs)
 
     def conjugator(self) -> BraidWord:
-        return BraidWord.from_runs(run for piece in reversed(self.pieces) for run in piece)
+        return _word(run for piece in reversed(self.pieces) for run in piece)
 
     # -- primitive moves --
 
@@ -606,45 +606,28 @@ def murasugi_from_garside(
     elif isinstance(gform, GarsideB):
         if gform.p == 1:
             mform = MurasugiTorus(gform.ell, "ab")
-        elif gform.p == 2:
-            mform = MurasugiHalfTwist(gform.ell)
-            conj = BraidWord.from_runs([(GEN_A, -1)]) * conj
         else:
-            mform = MurasugiTorus(gform.ell, "abab")
-            conj = BraidWord.from_runs([(GEN_A, -1)]) * conj
+            conj = _word([(GEN_A, -1)]) * conj
+            mform = (MurasugiHalfTwist(gform.ell) if gform.p == 2
+                     else MurasugiTorus(gform.ell, "abab"))
     else:
-        if isinstance(gform, GarsideC):
-            slots = [x - 2 for pq in gform.pairs for x in pq]
-            ell2 = gform.ell + gform.r
-            conv = BraidWord.from_runs([(GEN_B, 1)])
-        else:
-            slots = [x - 2 for pq in gform.pairs for x in pq] + [gform.p_r - 2]
-            ell2 = gform.ell + gform.r
-            conv = BraidWord.from_runs([(GEN_B, 1)]) * delta_power(-1)
-        conj = conv * conj
-        mform, shift = _generic_from_slots(ell2, slots)
+        slots = [x - 2 for pq in gform.pairs for x in pq]
+        conv = [(GEN_B, 1)]
+        if isinstance(gform, GarsideD):
+            slots.append(gform.p_r - 2)
+            conv += delta_runs(-1)
+        conj = _word(conv) * conj
+        mform, shift = _generic_from_slots(gform.ell + gform.r, slots)
         if shift:
-            # rotate the raw slot word left by `shift` slots
-            prefix_runs: list[tuple[str, int]] = []
-            for e in slots[:shift]:
-                prefix_runs.append((GEN_A, -1))
-                if e:
-                    prefix_runs.append((GEN_B, e))
-            prefix = BraidWord.from_runs(prefix_runs)
+            # rotate the raw slot word a^-1 b^e1 a^-1 b^e2 ... left by `shift` slots
+            prefix = _word(run for e in slots[:shift] for run in ((GEN_A, -1), (GEN_B, e)))
             conj = prefix.inverse() * conj
         if isinstance(mform, MurasugiGeneric):
             mform, steps = _rotate_generic(mform)
             if steps:
-                # rotating k pairs to the back conjugates by their inverse
-                head_runs: list[tuple[str, int]] = []
-                rotated_back = mform.pairs[-steps:] if steps else ()
-                # the pairs moved to the back are the first `steps` of the
-                # pre-rotation list, i.e. the last `steps` of the rotated one
-                for p, q in rotated_back:
-                    head_runs.append((GEN_A, -p))
-                    head_runs.append((GEN_B, q))
-                head = BraidWord.from_runs(head_runs)
-                conj = head.inverse() * conj
+                # rotating k pairs to the back conjugates by their inverse; they
+                # are the first `steps` pairs before the rotation, the last after
+                conj = _word(_pair_runs(mform.pairs[-steps:], -1)).inverse() * conj
 
     cert = ConjugacyCertificate(conjugator=conj, source=word, target=realize(mform))
     if not cert.verify():

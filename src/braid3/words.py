@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 GEN_A = "a"
 GEN_B = "b"
@@ -37,6 +38,9 @@ _OTHER = {GEN_A: GEN_B, GEN_B: GEN_A}
 _PERM = {GEN_A: (2, 1, 3), GEN_B: (1, 3, 2)}
 
 IDENTITY_PERM = (1, 2, 3)
+
+#: the permutations whose closure has one component: the two 3-cycles
+KNOT_PERMS = frozenset({(2, 3, 1), (3, 1, 2)})
 
 DEFAULT_MAX_WORD_LEN = 10**6
 
@@ -54,34 +58,50 @@ class WordLimitError(ValueError):
     base-10 integer."""
 
 
-@dataclass(frozen=True)
-class Syllable:
-    """One run g^e with e != 0."""
-
+class _Run(NamedTuple):
     gen: str
     exp: int
 
-    def __post_init__(self):
-        if self.gen not in (GEN_A, GEN_B):
-            raise ValueError(f"unknown generator {self.gen!r}")
-        if self.exp == 0:
-            raise ValueError("syllable exponent must be nonzero")
 
+class Syllable(_Run):
+    """One run g^e with e != 0, an immutable (gen, exp) pair.
 
-def _merge(syllables: Iterable[tuple[str, int]]) -> tuple[Syllable, ...]:
-    """Run-length merge; runs that cancel to zero drop out, which lets the
-    runs on either side combine in turn."""
-    out: list[list] = []  # mutable [gen, exp] pairs
-    for gen, exp in syllables:
+    Calling Syllable(gen, exp) validates its arguments; so do parse and
+    BraidWord.from_runs, on text and runs from outside the package.  The
+    word operations below build syllables from ones already valid and skip
+    the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gen: str, exp: int):
+        if gen not in _OTHER:
+            raise ValueError(f"unknown generator {gen!r}")
         if exp == 0:
+            raise ValueError("syllable exponent must be nonzero")
+        return tuple.__new__(cls, (gen, exp))
+
+
+#: Syllable from a (gen, exp) pair known to be valid, without the check
+_syllable = partial(tuple.__new__, Syllable)
+
+
+def _word(runs: Iterable[tuple[str, int]]) -> BraidWord:
+    """BraidWord.from_runs for runs on valid generators, built inside the
+    package: a run-length merge in which runs that cancel to zero drop out,
+    which lets the runs on either side combine in turn."""
+    out: list[tuple[str, int]] = []
+    for run in runs:
+        gen, exp = run
+        if not exp:
             continue
         if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([gen, exp])
-    return tuple(Syllable(g, e) for g, e in out)
+            exp += out.pop()[1]
+            if not exp:
+                continue
+            run = (gen, exp)
+        out.append(run)
+    return BraidWord(tuple(map(_syllable, out)))
 
 
 @dataclass(frozen=True)
@@ -97,79 +117,75 @@ class BraidWord:
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
-        return BraidWord(_merge(runs))
+        """Merge (gen, exp) runs into a word; zero exponents drop out.
+        Raises ValueError on a generator other than a or b."""
+        runs = list(runs)
+        for gen, _ in runs:
+            if gen not in _OTHER:
+                raise ValueError(f"unknown generator {gen!r}")
+        return _word(runs)
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
 
     def __len__(self) -> int:
         """Letter length (total number of crossings)."""
-        return sum(abs(s.exp) for s in self.syllables)
+        return sum(abs(e) for _, e in self.syllables)
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
-        if not self.syllables:
-            return other
-        if not other.syllables:
-            return self
-        return BraidWord.from_runs(
-            [(s.gen, s.exp) for s in self.syllables]
-            + [(s.gen, s.exp) for s in other.syllables]
-        )
+        # both sides are merged, so only the runs at the seam combine: each
+        # pair that cancels exposes the next pair, on the other generator
+        left, right = self.syllables, other.syllables
+        j, i = len(left), 0
+        while j and i < len(right) and left[j - 1][0] == right[i][0]:
+            gen, exp = right[i]
+            exp += left[j - 1][1]
+            j -= 1
+            i += 1
+            if exp:
+                return BraidWord(left[:j] + (_syllable((gen, exp)),) + right[i:])
+        return BraidWord(left[:j] + right[i:])
 
     def __pow__(self, k: int) -> BraidWord:
         if k < 0:
             return self.inverse() ** (-k)
-        return BraidWord.from_runs([(s.gen, s.exp) for s in self.syllables] * k)
+        return _word(self.syllables * k)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(
-            tuple(Syllable(s.gen, -s.exp) for s in reversed(self.syllables))
-        )
+        return BraidWord(tuple(_syllable((g, -e)) for g, e in reversed(self.syllables)))
 
     def mirror(self) -> BraidWord:
         """Negate every exponent in place; the closure of the result is the
         mirror (with reversed orientation) of the closure of self."""
-        return BraidWord(tuple(Syllable(s.gen, -s.exp) for s in self.syllables))
+        return BraidWord(tuple(_syllable((g, -e)) for g, e in self.syllables))
 
     def swap_generators(self) -> BraidWord:
         """Exchange a and b (conjugation by the half twist)."""
-        return BraidWord(tuple(Syllable(_OTHER[s.gen], s.exp) for s in self.syllables))
+        return BraidWord(tuple(_syllable((_OTHER[g], e)) for g, e in self.syllables))
 
     def writhe(self) -> int:
-        return sum(s.exp for s in self.syllables)
-
-    def letters(self) -> Iterator[tuple[str, int]]:
-        """Yield (generator, sign) one crossing at a time, left to right."""
-        for s in self.syllables:
-            sign = 1 if s.exp > 0 else -1
-            for _ in range(abs(s.exp)):
-                yield s.gen, sign
+        return sum(e for _, e in self.syllables)
 
     def permutation(self) -> tuple[int, int, int]:
         """Images of strands (1, 2, 3) under the word, read left to right."""
-        img = IDENTITY_PERM
-        for s in self.syllables:
-            if s.exp % 2:
-                t = _PERM[s.gen]
-                img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
-        return img
+        return runs_permutation(self.syllables)
 
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
         return len(cycle_type(self.permutation()))
 
     def is_knot(self) -> bool:
-        return self.closure_components() == 1
+        return self.permutation() in KNOT_PERMS
 
     def display(self) -> str:
         """Render in the input grammar (A/B for inverse runs), space separated."""
         parts = []
-        for s in self.syllables:
-            letter = s.gen if s.exp > 0 else s.gen.upper()
-            e = abs(s.exp)
+        for gen, exp in self.syllables:
+            letter = gen if exp > 0 else gen.upper()
+            e = abs(exp)
             parts.append(letter if e == 1 else f"{letter}^{e}")
         return " ".join(parts)
 
@@ -177,22 +193,30 @@ class BraidWord:
         return self.display() or "<identity>"
 
 
-IDENTITY = BraidWord()
+def delta_runs(k: int) -> list[tuple[str, int]]:
+    """The merged runs of D^k (k may be negative): a b (a^2 b)^(|k|-1) a,
+    with every exponent signed like k."""
+    if k == 0:
+        return []
+    sign = 1 if k > 0 else -1
+    middle = [(GEN_A, 2 * sign), (GEN_B, sign)] * (abs(k) - 1)
+    return [(GEN_A, sign), (GEN_B, sign)] + middle + [(GEN_A, sign)]
 
 
 def delta_power(k: int) -> BraidWord:
     """The k-th power of the half twist D (k may be negative), pre-merged."""
-    if k == 0:
-        return IDENTITY
-    runs: list[tuple[str, int]] = []
-    sign = 1 if k > 0 else -1
-    runs.append((GEN_A, sign))
-    runs.append((GEN_B, sign))
-    for _ in range(abs(k) - 1):
-        runs.append((GEN_A, 2 * sign))
-        runs.append((GEN_B, sign))
-    runs.append((GEN_A, sign))
-    return BraidWord.from_runs(runs)
+    return BraidWord(tuple(map(_syllable, delta_runs(k))))
+
+
+def runs_permutation(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int]:
+    """Images of strands (1, 2, 3) under a run sequence, read left to right;
+    only the parity of each exponent matters."""
+    img = IDENTITY_PERM
+    for gen, exp in runs:
+        if exp % 2:
+            t = _PERM[gen]
+            img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
+    return img
 
 
 def cycle_type(perm: tuple[int, int, int]) -> tuple[int, ...]:
@@ -265,8 +289,8 @@ def parse(text: str) -> BraidWord:
         if total > limit:
             raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
         if ch == "D":
-            runs.extend((s.gen, s.exp) for s in delta_power(exp))
+            runs.extend(delta_runs(exp))
         else:
             gen, sign = _LETTERS[ch]
             runs.append((gen, sign * exp))
-    return BraidWord.from_runs(runs)
+    return _word(runs)

@@ -1,8 +1,12 @@
 
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braid3.normal_form import GarsideC, MurasugiGeneric, garside_normal_form, realize
 from braid3.words import (
     BraidWord,
     ParseError,
@@ -23,6 +27,31 @@ def runs(word):
 words_strategy = st.lists(
     st.sampled_from(LETTER_RUNS), max_size=12
 ).map(BraidWord.from_runs)
+
+
+def free_reduction_reference(run_list):
+    """Runs of the freely reduced word, one letter at a time: expand every
+    run into signed letters, cancel x x^-1 pairs on a stack, then group."""
+    stack = []
+    for gen, exp in run_list:
+        sign = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if stack and stack[-1] == (gen, -sign):
+                stack.pop()
+            else:
+                stack.append((gen, sign))
+    out = []
+    for gen, sign in stack:
+        if out and out[-1][0] == gen:
+            out[-1][1] += sign
+        else:
+            out.append([gen, sign])
+    return [tuple(run) for run in out]
+
+
+run_lists = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(-3, 3)), max_size=16
+)
 
 
 class TestParse:
@@ -137,12 +166,86 @@ class TestGroupOperations:
         with pytest.raises(ValueError):
             Syllable("c", 1)
 
+    def test_from_runs_rejects_unknown_generator(self):
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([("c", 1)])
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([("a", 1), ("A", 2)])
+
     def test_adjacent_runs_distinct(self, rng):
         for _ in range(200):
             w = random_word(rng, rng.randrange(0, 20))
             for left, right in zip(w.syllables, w.syllables[1:]):
                 assert left.gen != right.gen
             assert all(s.exp != 0 for s in w)
+
+
+class TestMerge:
+    @given(run_lists)
+    @example([("a", 1), ("b", 1), ("b", -1), ("a", -1), ("a", 1)])
+    @example([("a", 2), ("b", 0), ("a", -2), ("b", 3)])
+    @example([("a", 1), ("b", 2), ("a", 0), ("b", -2), ("a", -1)])
+    @settings(max_examples=300)
+    def test_from_runs_matches_free_reduction(self, run_list):
+        assert runs(BraidWord.from_runs(run_list)) == free_reduction_reference(run_list)
+
+    @given(run_lists, run_lists)
+    @example([("a", 1), ("b", 2), ("a", 3)], [("a", -3), ("b", -2), ("a", -1)])
+    @example([("b", 1), ("a", 2)], [("a", -2), ("b", 1)])
+    @settings(max_examples=300)
+    def test_product_matches_free_reduction(self, left, right):
+        product = BraidWord.from_runs(left) * BraidWord.from_runs(right)
+        assert runs(product) == free_reduction_reference(left + right)
+
+    @given(run_lists, st.integers(-4, 4))
+    @settings(max_examples=200)
+    def test_power_matches_free_reduction(self, run_list, k):
+        w = BraidWord.from_runs(run_list)
+        base = runs(w) if k >= 0 else runs(w.inverse())
+        assert runs(w ** k) == free_reduction_reference(base * abs(k))
+
+
+class TestSyllableType:
+    def test_repr_and_fields(self):
+        s = Syllable("a", 2)
+        assert repr(s) == "Syllable(gen='a', exp=2)"
+        assert (s.gen, s.exp) == ("a", 2)
+        assert s == Syllable("a", 2) and hash(s) == hash(Syllable("a", 2))
+        assert Syllable("a", 2) != Syllable("b", 2)
+        assert Syllable("a", 2) != Syllable("a", -2)
+
+    def test_immutable(self):
+        s = Syllable("b", -1)
+        with pytest.raises(AttributeError):
+            s.exp = 3
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        word = parse("a^3 B a^-2 D^-2 b")
+        _, cert = garside_normal_form(word)
+        for obj in (word, cert):
+            for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert back == obj
+        back = pickle.loads(pickle.dumps(word))
+        assert all(type(s) is Syllable for s in back)
+
+    def test_every_operation_yields_syllables(self):
+        w = parse("a^3 B a^-2 D^-3 b^2")
+        made = [
+            w,
+            w * parse("B^2 a"),
+            w * w.inverse(),
+            w ** 3,
+            w ** -2,
+            w.inverse(),
+            w.mirror(),
+            w.swap_generators(),
+            delta_power(-4),
+            realize(GarsideC(-2, ((2, 3), (4, 2)))),
+            realize(MurasugiGeneric(1, ((1, 2),))),
+            BraidWord.from_runs([("a", 2), ("b", 0), ("a", -1)]),
+        ]
+        for word in made:
+            assert all(type(s) is Syllable for s in word.syllables), word
 
 
 class TestWritheAndPermutation:
