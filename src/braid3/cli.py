@@ -10,10 +10,10 @@ Subcommands
   batch        run the invariant pipeline over a name,word CSV file
 
 Exit codes: 0 success, 1 a verification answered false, 2 parse error,
-unreadable certificate or invalid BRAID3_MAX_WORD_LEN, 3 precondition
-failure, 4 internal inconsistency.  The environment variable
-BRAID3_MAX_WORD_LEN (default 10^6, a non-negative integer) bounds accepted
-input length.
+unreadable certificate, unreadable batch input or output, or invalid
+BRAID3_MAX_WORD_LEN, 3 precondition failure, 4 internal inconsistency.
+The environment variable BRAID3_MAX_WORD_LEN (default 10^6, a
+non-negative integer) bounds accepted input length.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
@@ -81,8 +82,8 @@ def report_json(report: InvariantReport) -> dict:
         "genus4": report.genus4,
         "tau": report.tau,
         "alt": _interval_json(report.alt),
-        "dalt": _interval_json(report.dalt),
-        "turaev": _interval_json(report.turaev_genus),
+        "dalt": _interval_json(report.alt),
+        "turaev": _interval_json(report.alt),
         "minimal_r": report.minimal_r,
         "ballinger_t": report.ballinger_t,
         "fdtc": _frac(report.fdtc),
@@ -216,7 +217,8 @@ def cmd_verify(args) -> int:
         try:
             with open(args.cert, "r", encoding="utf-8") as fh:
                 cert = certificate_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError, RecursionError) as exc:
             print(f"bad certificate {args.cert}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         result = verify_cobordism(cert)
@@ -239,28 +241,30 @@ def cmd_batch(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     processed = errors = 0
     try:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            name = (row.get("name") or "").strip()
-            text = (row.get("word") or "").strip()
-            record: dict = {"name": name, "word": text}
-            try:
-                if row.get("word") is None:
-                    raise ParseError("missing word column", 1)
-                report = build_report(parse(text))
-                record.update(report_json(report))
-            except (ValueError, InternalInconsistencyError) as exc:
-                record["error"] = str(exc)
-                errors += 1
-            processed += 1
-            out.write(json.dumps(record) + "\n")
-    finally:
-        fh.close()
-        if args.out:
-            out.close()
+        with fh, (open(args.out, "w", encoding="utf-8") if args.out
+                  else nullcontext(sys.stdout)) as out:
+            for row in csv.DictReader(fh):
+                name = (row.get("name") or "").strip()
+                text = (row.get("word") or "").strip()
+                record: dict = {"name": name, "word": text}
+                try:
+                    if row.get("word") is None:
+                        raise ParseError("missing word column", 1)
+                    report = build_report(parse(text))
+                    record.update(report_json(report))
+                except (ValueError, InternalInconsistencyError) as exc:
+                    record["error"] = str(exc)
+                    errors += 1
+                processed += 1
+                out.write(json.dumps(record) + "\n")
+    except OSError as exc:
+        print(f"cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (UnicodeDecodeError, csv.Error) as exc:
+        print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"{processed} processed, {errors} errors", file=sys.stderr)
     return EXIT_OK
 

@@ -285,13 +285,10 @@ def verify(cert: CobordismCertificate) -> VerificationResult:
         reasons.append(f"unknown certificate kind {cert.kind!r}")
 
     if start_knot and end_knot:
-        try:
-            form, _ = garside_normal_form(cert.start)
-            gap = abs(upsilon(form) - cert.end.upsilon())
-            if gap > cert.genus:
-                reasons.append("upsilon gap exceeds genus")
-        except Exception as exc:  # pragma: no cover - defensive
-            reasons.append(f"upsilon evaluation failed: {exc}")
+        form, _ = garside_normal_form(cert.start)
+        gap = abs(upsilon(form) - cert.end.upsilon())
+        if gap > cert.genus:
+            reasons.append("upsilon gap exceeds genus")
 
     return VerificationResult(not reasons, tuple(reasons))
 
@@ -325,7 +322,7 @@ def _witness_word(form: GarsideForm) -> BraidWord:
             for p, q in rest:
                 runs += [(GEN_A, p), (GEN_B, q)]
             runs[-1] = (GEN_B, runs[-1][1] + 1)
-    elif isinstance(form, GarsideD):
+    else:  # GarsideD; the caller admits cases B, C and D only
         if form.ell == 0:
             if not form.pairs:
                 # both exponent bumps land on the single a-run
@@ -346,8 +343,6 @@ def _witness_word(form: GarsideForm) -> BraidWord:
                     runs += [(GEN_A, p), (GEN_B, q)]
             else:
                 runs += [(GEN_A, form.ell + 1)]
-    else:
-        raise PreconditionError("no witness word for this form")
     return _word(runs)
 
 
@@ -358,19 +353,16 @@ def alternating_distance_genus_bounds(form: GarsideForm) -> AlternatingGenusBoun
     torus-sum cobordism applied to a minimal-switch positive word for the
     same knot; the lower bound is half the (exact) alternation number.
     """
-    if isinstance(form, (GarsideB, GarsideC, GarsideD)) and form.ell >= 0:
-        witness = _witness_word(form)
-    else:
+    if not (isinstance(form, (GarsideB, GarsideC, GarsideD)) and form.ell >= 0):
         raise PreconditionError("bounds need a positive-braid form")
-    if not witness.is_knot():
-        raise PreconditionError("closure is not a knot")
+    witness = _witness_word(form)
     check, _ = garside_normal_form(witness)
     canonical, _ = garside_normal_form(realize(form))
     if check != canonical:
         raise InternalInconsistencyError(
             f"witness word classifies to {check}, not {canonical}"
         )
-    cert = torus_sum_cobordism(witness)
+    cert = torus_sum_cobordism(witness)  # raises PreconditionError on a link
     r = len(_alternating_pairs(cert.start))
     lower = Fraction(r - 1, 2)
     upper = cert.genus

@@ -78,9 +78,8 @@ def _as_int(value: Fraction, what: str) -> int:
 
 def _torus_family(form: GarsideB | MurasugiTorus) -> tuple[int, int]:
     """(ell, k) with the closure +-T(3, 3*ell + k); k in {1, 2}."""
+    # callers run _require_knot first, which rejects the half-twist class p = 2
     if isinstance(form, GarsideB):
-        if form.p == 2:
-            raise NotAKnotError("half-twist class closes to a link")
         k = 1 if form.p == 1 else 2
     else:
         k = 1 if form.variant == "ab" else 2
@@ -179,40 +178,25 @@ def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None,
     return None
 
 
-@dataclass(frozen=True)
-class AltDistances:
-    alt: IntInterval
-    dalt: IntInterval
-    turaev_genus: IntInterval
+def _twist_interval(twist: int) -> IntInterval:
+    return IntInterval.point(0) if twist == 0 else IntInterval(abs(twist) - 1, abs(twist))
 
 
-def alternating_distances(form: GarsideForm | MurasugiForm) -> AltDistances:
+def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
     """Alternation number, dealternating number and Turaev genus.
 
-    Exact for torus closures and for positive classes; otherwise the
-    twisting degree pins each invariant to a two-point interval.
+    All three lie in the one interval returned: exact for torus closures
+    and for positive classes, where they equal g + upsilon; otherwise the
+    twisting degree pins them to a two-point interval.
     """
     _require_knot(form)
     if isinstance(form, (GarsideB, MurasugiTorus)):
-        ell, _ = _torus_family(form)
-        exact = ell if ell >= 0 else -ell - 1
-        iv = IntInterval.point(exact)
-        return AltDistances(iv, iv, iv)
+        return IntInterval.point(form.ell if form.ell >= 0 else -form.ell - 1)
     if isinstance(form, (GarsideC, GarsideD)):
         twist = form.ell + form.r
-        if form.ell >= 0:
-            iv = IntInterval.point(form.r + form.ell - 1)
-        elif twist == 0:
-            iv = IntInterval.point(0)
-        else:
-            iv = IntInterval(abs(twist) - 1, abs(twist))
-        return AltDistances(iv, iv, iv)
+        return IntInterval.point(twist - 1) if form.ell >= 0 else _twist_interval(twist)
     if isinstance(form, MurasugiGeneric):
-        if form.ell == 0:
-            iv = IntInterval.point(0)
-        else:
-            iv = IntInterval(abs(form.ell) - 1, abs(form.ell))
-        return AltDistances(iv, iv, iv)
+        return _twist_interval(form.ell)
     raise NotAKnotError(f"{form} never closes to a knot")
 
 
@@ -269,9 +253,11 @@ def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | No
 class InvariantReport:
     """Everything the pipeline can say about one braid word.
 
-    None means no closed form applies (links carry only the braid-level
-    fields).  `flags` records, per field, 'exact', 'interval' or 'absent',
-    plus the provenance of the Rasmussen value.
+    None means no closed form applies; on a link every knot invariant is
+    None.  `alt` bounds the alternation number, the dealternating number
+    and the Turaev genus alike.  `flags` records, per reported field,
+    'exact', 'interval' or 'absent', plus the provenance of the Rasmussen
+    value.
     """
 
     word: BraidWord
@@ -290,13 +276,18 @@ class InvariantReport:
     genus4: int | None = None
     tau: int | None = None
     alt: IntInterval | None = None
-    dalt: IntInterval | None = None
-    turaev_genus: IntInterval | None = None
     minimal_r: int | None = None
     ballinger_t: int | None = None
     nonorientable_g4_lower: int | None = None
-    upsilon_slope: Fraction | None = None
     flags: dict | None = None
+
+
+def _flag(value) -> str:
+    if isinstance(value, tuple):  # a Rasmussen (value, provenance) pair
+        return f"exact ({value[1]})"
+    if isinstance(value, IntInterval) and not value.exact:
+        return "interval"
+    return "absent" if value is None else "exact"
 
 
 def build_report(word: BraidWord) -> InvariantReport:
@@ -311,9 +302,44 @@ def build_report(word: BraidWord) -> InvariantReport:
     mform, mcert = murasugi_from_garside(gform, gcert)
     components = word.closure_components()
     knot = components == 1
+    omega = fdtc(gform)
+    h_ups = homogenized_upsilon(gform)
 
-    flags: dict[str, str] = {"fdtc": "exact", "homogenized_upsilon": "exact"}
-    base = dict(
+    ups = sig = s_pair = gt = alt = min_r = None
+    if knot:
+        ups = upsilon(gform)
+        ups_m = upsilon(mform)
+        if ups != ups_m:
+            raise InternalInconsistencyError(
+                f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
+            )
+        sig = signature(mform)
+        if signature(gform) != sig:
+            raise InternalInconsistencyError(
+                f"signature disagreement on {word.display()!r}"
+            )
+        if sig % 2:
+            raise InternalInconsistencyError(
+                f"odd signature {sig} on {word.display()!r}"
+            )
+        # a Murasugi torus form comes only from a Garside B form with the same
+        # ell, so the Garside side has no s value when the Murasugi side has none
+        s_pair = rasmussen_s(mform)
+        gt = genus_tau(gform) or genus_tau(mform)
+        alt = alternating_distances(gform)
+        min_r = minimal_positive_switches(gform)
+    s_val = s_pair[0] if s_pair else None
+    g3, g4, tau_val = gt or (None, None, None)
+    t_val, gamma4 = derived_concordance(ups, sig) if knot else (None, None)
+
+    flags = {name: _flag(value) for name, value in (
+        ("fdtc", omega), ("homogenized_upsilon", h_ups), ("upsilon", ups),
+        ("signature", sig), ("s", s_pair), ("genus3", g3), ("genus4", g4),
+        ("tau", tau_val), ("alt", alt), ("dalt", alt), ("turaev", alt),
+        ("minimal_r", min_r),
+    )}
+
+    return InvariantReport(
         word=word,
         garside=gform,
         murasugi=mform,
@@ -321,79 +347,17 @@ def build_report(word: BraidWord) -> InvariantReport:
         murasugi_certificate=mcert,
         components=components,
         is_knot=knot,
-        fdtc=fdtc(gform),
-        homogenized_upsilon=homogenized_upsilon(gform),
-        flags=flags,
-    )
-    if not knot:
-        for name in ("upsilon", "signature", "s", "genus3", "genus4", "tau",
-                     "alt", "dalt", "turaev", "minimal_r"):
-            flags[name] = "absent"
-        return InvariantReport(**base)
-
-    ups_g = upsilon(gform)
-    ups_m = upsilon(mform)
-    if ups_g != ups_m:
-        raise InternalInconsistencyError(
-            f"upsilon disagreement {ups_g} vs {ups_m} on {word.display()!r}"
-        )
-    sig = signature(mform)
-    if signature(gform) != sig:
-        raise InternalInconsistencyError(
-            f"signature disagreement on {word.display()!r}"
-        )
-    if sig % 2:
-        raise InternalInconsistencyError(
-            f"odd signature {sig} on {word.display()!r}"
-        )
-    flags["upsilon"] = flags["signature"] = "exact"
-
-    s_pair = rasmussen_s(mform)
-    if s_pair is None:
-        s_pair = rasmussen_s(gform)
-    if s_pair is None:
-        s_val = None
-        flags["s"] = "absent"
-    else:
-        s_val, s_src = s_pair
-        flags["s"] = f"exact ({s_src})"
-
-    gt = genus_tau(gform)
-    if gt is None:
-        gt = genus_tau(mform)
-    if gt is None:
-        g3 = g4 = tau_val = None
-        flags["genus3"] = flags["genus4"] = flags["tau"] = "absent"
-    else:
-        g3, g4, tau_val = gt
-        flags["genus3"] = "exact" if g3 is not None else "absent"
-        flags["genus4"] = "exact" if g4 is not None else "absent"
-        flags["tau"] = "exact"
-
-    dist = alternating_distances(gform)
-    for name, iv in (("alt", dist.alt), ("dalt", dist.dalt),
-                     ("turaev", dist.turaev_genus)):
-        flags[name] = "exact" if iv.exact else "interval"
-
-    min_r = minimal_positive_switches(gform)
-    flags["minimal_r"] = "exact" if min_r is not None else "absent"
-
-    t_val, gamma4 = derived_concordance(ups_g, sig)
-    slope = upsilon_upper_bound_slope(gform)
-
-    return InvariantReport(
-        upsilon=ups_g,
+        fdtc=omega,
+        homogenized_upsilon=h_ups,
+        upsilon=ups,
         signature=sig,
         rasmussen_s=s_val,
         genus3=g3,
         genus4=g4,
         tau=tau_val,
-        alt=dist.alt,
-        dalt=dist.dalt,
-        turaev_genus=dist.turaev_genus,
+        alt=alt,
         minimal_r=min_r,
         ballinger_t=t_val,
         nonorientable_g4_lower=gamma4,
-        upsilon_slope=slope,
-        **base,
+        flags=flags,
     )

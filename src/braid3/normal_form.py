@@ -329,9 +329,6 @@ class _State:
 
     # -- primitive moves --
 
-    def letter_length(self) -> int:
-        return sum(e for _, e in self.runs)
-
     def swap(self) -> None:
         """Conjugate by D: exchanges the two generators in the tail."""
         self.runs = [[_OTHER[g], e] for g, e in self.runs]
@@ -493,9 +490,10 @@ def _classify(state: _State) -> GarsideForm:
         state.set_tail([[GEN_A, 2], [GEN_B, 1]], -1, [(GEN_A, 1)])
         return GarsideB((n - 1) // 2, 2)
 
+    if runs[0][0] == GEN_B:
+        state.swap()
+
     if len(runs) == 1:
-        if runs[0][0] == GEN_B:
-            state.swap()
         p = state.runs[0][1]
         if n % 2 == 0:
             return GarsideA(n // 2, p)
@@ -505,11 +503,8 @@ def _classify(state: _State) -> GarsideForm:
             return GarsideB((n - 1) // 2, 3)
         return GarsideD((n - 1) // 2, (), p)
 
-    if state.runs[0][0] == GEN_B:
-        state.swap()
-
     if n % 2 == 0:
-        if state.letter_length() == 2:
+        if sum(e for _, e in state.runs) == 2:
             return GarsideB(n // 2, 1)
         if state.runs[-1][0] == GEN_A:
             state.fold_tail()

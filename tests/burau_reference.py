@@ -8,65 +8,82 @@ It is faithful on B3, so equal images mean equal braids.  braid3 never
 imports it and it shares no code with braid3's SL2(Z) x writhe oracle;
 the tests check certificates against both.
 
-A polynomial is a list of coefficients indexed by exponent.  An inverse
-letter is t^-1 times a polynomial matrix, so a word's image is kept as
-t^s times a polynomial matrix, one row at a time.
+An inverse letter is t^-1 times a polynomial matrix, so a word's image is
+t^s times a polynomial matrix P(t).  P is evaluated exactly at the integer
+t = T = 2^(L+3), where L counts the letters in play.  Right-multiplying a
+row by one letter's polynomial matrix at most doubles the l1 norm of its
+coefficients, so after n letters every coefficient of an entry is at most
+2^n in absolute value, and a sum or difference of two entries (a trace, or
+the two sides of an equation with L letters in all) has coefficients below
+2^(L+1) < T/2.  Such a polynomial is zero exactly when its value at T is,
+and its coefficients are the balanced base-T digits of that value, so the
+integer arithmetic decides the polynomial identities exactly.
 """
 
 
-def _add(x, y):
-    if len(x) < len(y):
-        x, y = y, x
-    return [c + d for c, d in zip(x, y)] + x[len(y):]
+def _letter(gen, exp, t):
+    """The polynomial matrix at t, (m11, m12, m21, m22), of the letter gen^1
+    when exp > 0 and of gen^-1 otherwise; the image of gen^-1 is t^-1 times it."""
+    if gen == "a":
+        return (-t, 1, 0, 1) if exp > 0 else (-1, 1, 0, t)
+    return (1, 0, t, -t) if exp > 0 else (t, 0, t, -1)
 
 
-def _t(x, sign=1):
-    """sign * t * x"""
-    return [0] + (x if sign > 0 else [-c for c in x])
+def _letters(word):
+    return sum(abs(syl.exp) for syl in word.syllables)
 
 
-#: (generator, sign) -> the row (x, y) times the letter's polynomial matrix
-_STEP = {
-    ("a", 1): lambda x, y: (_t(x, -1), _add(x, y)),
-    ("a", -1): lambda x, y: ([-c for c in x], _add(x, _t(y))),  # t^-1 [[-1, 1], [0, t]]
-    ("b", 1): lambda x, y: (_add(x, _t(y)), _t(y, -1)),
-    ("b", -1): lambda x, y: (_add(_t(x), _t(y)), [-c for c in y]),  # t^-1 [[t, 0], [t, -1]]
-}
+def _matrix(word, t):
+    """P(t) as (m11, m12, m21, m22) and the power s, with the word's image
+    t^s P(t); right-multiplies by one letter's matrix at a time."""
+    m11, m12, m21, m22, s = 1, 0, 0, 1, 0
+    for gen, exp in word.syllables:
+        p, q, r, u = _letter(gen, exp, t)
+        for _ in range(abs(exp)):
+            m11, m12 = m11 * p + m12 * r, m11 * q + m12 * u
+            m21, m22 = m21 * p + m22 * r, m21 * q + m22 * u
+        s += min(exp, 0)
+    return (m11, m12, m21, m22), s
 
 
-def _rows(word):
-    row1, row2, s = ([1], []), ([], [1]), 0
-    for syl in word.syllables:
-        sign = 1 if syl.exp > 0 else -1
-        step = _STEP[syl.gen, sign]
-        for _ in range(abs(syl.exp)):
-            row1, row2 = step(*row1), step(*row2)
-        s += min(syl.exp, 0)
-    return row1, row2, s
-
-
-def _laurent(x, s):
-    """t^s * x as (lowest exponent, coefficients), with no zeros at either end."""
-    nz = [i for i, c in enumerate(x) if c]
-    return (s + nz[0], tuple(x[nz[0]:nz[-1] + 1])) if nz else (0, ())
+def _laurent(value, s, bits):
+    """t^s * p(t) as (lowest exponent, coefficients), with no zeros at either
+    end, from value = p(2^bits) by balanced base-2^bits digits."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        value = (value - d) >> bits
+    nz = [i for i, c in enumerate(digits) if c]
+    return (s + nz[0], tuple(digits[nz[0]:])) if nz else (0, ())
 
 
 def image(word):
     """The four entries m11, m12, m21, m22 of the Burau matrix."""
-    (m11, m12), (m21, m22), s = _rows(word)
-    return tuple(_laurent(x, s) for x in (m11, m12, m21, m22))
+    bits = _letters(word) + 3
+    entries, s = _matrix(word, 1 << bits)
+    return tuple(_laurent(x, s, bits) for x in entries)
 
 
 def trace(word):
     """m11 + m22, a conjugacy invariant."""
-    (m11, _), (_, m22), s = _rows(word)
-    return _laurent(_add(m11, m22), s)
+    bits = _letters(word) + 3
+    (m11, _, _, m22), s = _matrix(word, 1 << bits)
+    return _laurent(m11 + m22, s, bits)
 
 
 def words_equal(u, v):
-    return image(u) == image(v)
+    # t^su Pu = t^sv Pv  <=>  t^(su - m) Pu = t^(sv - m) Pv for m = min(su, sv),
+    # a polynomial identity decided by its value at T
+    bits = _letters(u) + _letters(v) + 3
+    (pu, su), (pv, sv) = _matrix(u, 1 << bits), _matrix(v, 1 << bits)
+    m = min(su, sv)
+    return [x << (bits * (su - m)) for x in pu] == [x << (bits * (sv - m)) for x in pv]
 
 
 def conjugates(conjugator, source, target):
     """conjugator * source * conjugator^-1 = target in B3."""
-    return image(conjugator * source) == image(target * conjugator)
+    return words_equal(conjugator * source, target * conjugator)

@@ -195,16 +195,14 @@ def test_criterion_3_positive_alternating_identity():
         g, _, _ = genus_tau(canon)
         ups = upsilon(canon)
         assert g + ups == expect, form
-        for iv in (dist.alt, dist.dalt, dist.turaev_genus):
-            assert iv.exact and iv.lo == expect, form
+        assert dist.exact and dist.lo == expect, form
         checked += 1
     assert checked > 3000
 
     for q, expect in ((4, 1), (5, 1)):
         form, _ = garside_normal_form(parse("ab") ** q)
         dist = alternating_distances(form)
-        assert dist.alt == dist.dalt == dist.turaev_genus
-        assert dist.alt.exact and dist.alt.lo == expect
+        assert dist.exact and dist.lo == expect
     _announce(f"[criterion 3] PASS: alternating-distance identity on {checked} positive knots")
 
 

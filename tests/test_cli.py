@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +213,36 @@ class TestVerify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "bad certificate" in err
 
+    def test_zero_denominator_genus(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
+        data = json.loads(out)
+        data["genus"] = "1/0"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "ZeroDivisionError" in err
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 10**5)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "RecursionError" in err
+
+    def test_internal_error_is_not_a_reason(self, capsys, tmp_path, monkeypatch):
+        _, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+
+        def failing(word):
+            raise InternalInconsistencyError("injected")
+
+        monkeypatch.setattr(braid3.cobordism, "garside_normal_form", failing)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 4 and out == ""
+        assert err == "injected\n"
+
 
 class TestBatch:
     def test_worked_examples(self, capsys, tmp_path):
@@ -270,6 +302,26 @@ class TestBatch:
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "batch", "--csv", str(tmp_path / "missing.csv"))
         assert code == 2 and "cannot read" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\nk,ab\n")
+        dst = tmp_path / "missing" / "out.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, out, err = run(capsys, "batch", "--csv", str(src), "--out", str(dst))
+            gc.collect()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot write" in err
+        # the CSV opened before the output file is closed, not leaked
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"name,word\nk,a\xff b\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot read" in err
 
 
 class TestWordLengthGuard:

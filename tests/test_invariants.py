@@ -216,16 +216,14 @@ class TestGenusTau:
 class TestAlternatingDistances:
     def test_torus_exact(self):
         for q, expect in ((4, 1), (5, 1), (7, 2), (8, 2)):
-            dist = alternating_distances(garside(torus_word(q)))
-            assert dist.alt == dist.dalt == dist.turaev_genus == IntInterval.point(expect)
+            assert alternating_distances(garside(torus_word(q))) == IntInterval.point(expect)
 
     def test_granny_alternating(self):
-        dist = alternating_distances(garside(parse("a^3 b^3")))
-        assert dist.alt == IntInterval.point(0)
+        assert alternating_distances(garside(parse("a^3 b^3"))) == IntInterval.point(0)
 
     def test_eight_twenty_interval(self):
         dist = alternating_distances(garside(parse("a^3 B a^-3 B")))
-        assert (dist.alt.lo, dist.alt.hi) == (0, 1)
+        assert (dist.lo, dist.hi) == (0, 1)
 
     def test_positive_identity_alt_equals_genus_plus_upsilon(self, rng):
         for _ in range(150):
@@ -238,7 +236,7 @@ class TestAlternatingDistances:
             canon = garside(w)
             dist = alternating_distances(canon)
             g, _, _ = genus_tau(canon)
-            assert dist.alt == IntInterval.point(g + upsilon(canon))
+            assert dist == IntInterval.point(g + upsilon(canon))
 
     def test_intervals_well_formed(self, rng):
         for _ in range(200):
@@ -246,8 +244,7 @@ class TestAlternatingDistances:
             if not w.is_knot():
                 continue
             dist = alternating_distances(garside(w))
-            for iv in (dist.alt, dist.dalt, dist.turaev_genus):
-                assert iv.lo <= iv.hi
+            assert isinstance(dist, IntInterval) and dist.lo <= dist.hi
 
 
 class TestMinimalSwitches:
