@@ -15,7 +15,9 @@ words are therefore equal in B3 exactly when their matrices and their
 writhes agree, and a passing check is a proof.
 
 Entries are Python integers, exact at any size.  A syllable g^k is one
-matrix update, so a check costs one step per syllable, not per letter.
+matrix update, so a check costs one step per syllable, not per letter, and
+a word's leading D^k is one step too: D maps to [[0, 1], [-1, 0]], a
+quarter turn, and adds 3 to the writhe.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ def _image(*words: BraidWord) -> tuple[int, int, int, int, int]:
     syllable at a time, so the product word is never built."""
     m11, m12, m21, m22, writhe = 1, 0, 0, 1, 0
     for word in words:
-        for gen, k in word.syllables:
+        d = word.delta
+        if d:
+            writhe += 3 * d
+            if d & 2:  # right-multiply by D^2 = -I
+                m11, m12, m21, m22 = -m11, -m12, -m21, -m22
+            if d & 1:  # right-multiply by D = [[0, 1], [-1, 0]]
+                m11, m12, m21, m22 = -m12, m11, -m22, m21
+        for gen, k in word.tail if d else word.syllables:
             writhe += k
             if gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
                 m12 += k * m11

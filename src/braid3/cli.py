@@ -10,8 +10,9 @@ Subcommands
   batch        run the invariant pipeline over a name,word CSV file
 
 Exit codes: 0 success, 1 a verification answered false, 2 parse error,
-unreadable certificate, unreadable batch input or output, or invalid
-BRAID3_MAX_WORD_LEN, 3 precondition failure, 4 internal inconsistency.
+unreadable certificate or batch input, unwritable output (a closed pipe
+too) or invalid BRAID3_MAX_WORD_LEN, 3 precondition failure, 4 internal
+inconsistency.
 The environment variable BRAID3_MAX_WORD_LEN (default 10^6, a
 non-negative integer) bounds accepted input length.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -260,6 +262,8 @@ def cmd_batch(args) -> int:
                 processed += 1
                 out.write(json.dumps(record) + "\n")
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            raise  # main reports it and silences the exit flush
         print(f"cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -311,7 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout once more on exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ParseError, WordLimitError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

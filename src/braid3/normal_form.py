@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .burau import conjugates_to, words_equal
-from .words import GEN_A, GEN_B, BraidWord, _OTHER, _word, delta_power, delta_runs
+from .words import GEN_A, GEN_B, BraidWord, _OTHER, _Twisted, _word, delta_power, delta_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -216,8 +216,10 @@ def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
 
 
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
-    """The literal braid word displayed by a normal form (D expanded)."""
-    return _word(delta_runs(delta_exponent(form)) + tail_runs(form))
+    """The braid word displayed by a normal form, its D^k kept as the
+    word's delta; its syllables are those of the expanded word."""
+    k, tail = delta_exponent(form), _word(tail_runs(form))
+    return _Twisted(k, tail.syllables) if k else tail
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:
@@ -248,7 +250,9 @@ class ConjugacyCertificate:
 
 @dataclass(frozen=True)
 class DeltaSplit:
-    """Witness that source = D^(2k) * positive_part with k <= 0."""
+    """Witness that source = D^(2k) * positive_part with positive_part a
+    positive word.  k is positive only when the source's own leading D
+    power outweighs its inverse letters."""
 
     k: int
     positive_part: BraidWord
@@ -269,20 +273,22 @@ _D_RUNS = [(GEN_A, 1), (GEN_B, 1), (GEN_A, 1)]
 
 
 def delta_positive_split(word: BraidWord) -> DeltaSplit:
-    """Rewrite word = D^(2k) * P with k <= 0 and P a positive word.
+    """Rewrite word = D^(2k) * P with P a positive word.
 
-    Each inverse letter is replaced through a^-1 = D^-1 ab and
+    Each inverse letter of the tail is replaced through a^-1 = D^-1 ab and
     b^-1 = D^-1 ba, and each D^-1 is pulled to the front through
     u D^-1 = D^-1 tau(u), where tau exchanges a and b.  A letter is stored
     as its generator XOR the parity of the D^-1 emitted so far, so pulling
     one through the whole prefix costs nothing; the generators are read off
-    against the total m at the end.  If m is odd, D^-m = D^-(m+1) aba puts
-    one D into P.  P has 2 letters per inverse letter, plus 3 when m is
-    odd.  Pure word arithmetic, no conjugation.
+    against the total m at the end.  The word's own D^delta is already in
+    front, so the power is e = delta - m; D^(2j) is central, and when e is
+    odd, D^e = D^(e-1) aba puts one D into P.  P has 2 letters per inverse
+    letter of the tail, plus 3 when e is odd, whatever delta is.  Pure word
+    arithmetic, no conjugation.
     """
     rel: list[tuple[int, int]] = []  # (generator bit XOR parity of m so far, exponent)
     m = 0
-    for s in word:
+    for s in word.tail if word.delta else word.syllables:
         g = _BIT[s.gen]
         if s.exp > 0:
             rel.append((g ^ (m & 1), s.exp))
@@ -292,9 +298,9 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             x = g ^ (m & 1)
             rel.append((x, 1))
             rel.append((x ^ 1, 1))
-    flip = m & 1
-    runs = (_D_RUNS if flip else []) + [(_GEN[x ^ flip], e) for x, e in rel]
-    return DeltaSplit(k=-((m + 1) // 2), positive_part=_word(runs), source=word)
+    e, flip = word.delta - m, m & 1
+    runs = (_D_RUNS if e & 1 else []) + [(_GEN[x ^ flip], n) for x, n in rel]
+    return DeltaSplit(k=e >> 1, positive_part=_word(runs), source=word)
 
 
 # ---------------------------------------------------------------------------

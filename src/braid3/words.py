@@ -5,7 +5,8 @@ B3 is generated by a (= sigma_1, crossing strands 1 and 2) and b (= sigma_2,
 crossing strands 2 and 3), subject to the braid relation aba = bab.  A braid
 word is stored in run-length form: a tuple of syllables (generator, exponent)
 with nonzero exponents and no two adjacent syllables on the same generator.
-The empty tuple is the identity.
+The empty tuple is the identity.  A word may keep a leading power D^k of
+the half twist as a number, delta, so that it costs what the rest costs.
 
 Conventions fixed here and used throughout the package:
   * braid diagrams read bottom to top, so the induced permutation of the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, NamedTuple
 
 GEN_A = "a"
@@ -104,16 +105,19 @@ def _word(runs: Iterable[tuple[str, int]]) -> BraidWord:
     return BraidWord(tuple(map(_syllable, out)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidWord:
     """An element of B3 in maximally merged run-length form.
 
     Immutable; all operations return new words.  Multiplication is
     concatenation with free merging, so w * w.inverse() is the identity
-    word on the nose.
+    word on the nose.  Equality and hashing follow the syllables.
     """
 
     syllables: tuple[Syllable, ...] = ()
+
+    #: k of a leading D^k kept as a number; only _Twisted words set it
+    delta = 0
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
@@ -124,6 +128,14 @@ class BraidWord:
             if gen not in _OTHER:
                 raise ValueError(f"unknown generator {gen!r}")
         return _word(runs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash(self.syllables)
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
@@ -193,6 +205,55 @@ class BraidWord:
         return self.display() or "<identity>"
 
 
+class _Twisted(BraidWord):
+    """The word D^delta * tail, delta != 0, for a merged tail.  What reads
+    the group element uses delta as a number; the syllables, those of the
+    expanded and merged word, are built on first use."""
+
+    def __init__(self, delta: int, tail: tuple[Syllable, ...]):
+        attrs = self.__dict__  # frozen: set the attributes in place
+        attrs["delta"], attrs["tail"] = delta, tail
+
+    @cached_property
+    def _seam(self) -> tuple[int, BraidWord]:
+        """(h, rest) with D^delta = D^h D^c and rest = D^c * tail multiplied
+        out.  A tail of r runs cancels at most r runs of D^delta, so with
+        2|c| + 1 > r + 1 rest keeps the first run of D^c, the a^(+-1) that
+        merges with the last run of D^h without cancelling."""
+        k = self.delta
+        c = min(abs(k), len(self.tail) // 2 + 1) * (1 if k > 0 else -1)
+        return k - c, BraidWord(_delta_block(c)) * BraidWord(self.tail)
+
+    @cached_property
+    def syllables(self) -> tuple[Syllable, ...]:
+        h, rest = self._seam
+        return (BraidWord(_delta_block(h)) * rest).syllables
+
+    def __len__(self) -> int:
+        h, rest = self._seam
+        return 3 * abs(h) + len(rest)
+
+    def __mul__(self, other: BraidWord) -> BraidWord:
+        return _Twisted(self.delta, (BraidWord(self.tail) * other).syllables)
+
+    def inverse(self) -> BraidWord:
+        # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
+        return BraidWord(self.tail).inverse() * BraidWord(_delta_block(-self.delta))
+
+    def writhe(self) -> int:
+        return 3 * self.delta + sum(e for _, e in self.tail)
+
+    def permutation(self) -> tuple[int, int, int]:
+        # D^2 is a pure braid
+        return runs_permutation(delta_runs(self.delta % 2) + list(self.tail))
+
+    def display(self) -> str:
+        h, rest = self._seam
+        seam = BraidWord(_delta_block(h)[-1:]) * rest
+        block = _delta_block(h, lambda run: BraidWord((run,)).display())
+        return " ".join(block[:-1] + (seam.display(),))
+
+
 def delta_runs(k: int) -> list[tuple[str, int]]:
     """The merged runs of D^k (k may be negative): a b (a^2 b)^(|k|-1) a,
     with every exponent signed like k."""
@@ -203,9 +264,18 @@ def delta_runs(k: int) -> list[tuple[str, int]]:
     return [(GEN_A, sign), (GEN_B, sign)] + middle + [(GEN_A, sign)]
 
 
+def _delta_block(k: int, f=_syllable) -> tuple:
+    """delta_runs(k) as a tuple of f(run), with f called three times."""
+    if not k:
+        return ()
+    s = 1 if k > 0 else -1
+    a1, b1, a2 = f((GEN_A, s)), f((GEN_B, s)), f((GEN_A, 2 * s))
+    return (a1, b1) + (a2, b1) * (abs(k) - 1) + (a1,)
+
+
 def delta_power(k: int) -> BraidWord:
-    """The k-th power of the half twist D (k may be negative), pre-merged."""
-    return BraidWord(tuple(map(_syllable, delta_runs(k))))
+    """The k-th power of the half twist D (k may be negative), as delta."""
+    return _Twisted(k, ()) if k else BraidWord()
 
 
 def runs_permutation(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int]:
@@ -244,23 +314,28 @@ def max_word_len() -> int:
         raise WordLimitError(
             f"BRAID3_MAX_WORD_LEN={raw!r} is not a non-negative base-10 integer"
         )
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise WordLimitError(f"BRAID3_MAX_WORD_LEN has {len(raw)} digits, too many") from None
 
 
 #: ASCII digits only; str.isdigit also accepts superscripts and non-Latin digits
 _DIGITS = frozenset("0123456789")
 
-#: letter -> (generator, sign); "D" is expanded by delta_power instead
+#: letter -> (generator, sign); parse handles "D" itself
 _LETTERS = {"a": (GEN_A, 1), "b": (GEN_B, 1), "A": (GEN_A, -1), "B": (GEN_B, -1)}
 
 
 def parse(text: str) -> BraidWord:
     """Parse the word grammar into a merged BraidWord.
 
-    D expands to aba (and D^-1 to the inverse letters); exponents apply to
-    the whole expanded letter.  Raises ParseError with a 1-based position.
+    The D terms before the first a/b letter add up into the word's delta
+    (exact: D^j and D^k expand and merge to D^(j+k)); a later D^e expands
+    in place.  Raises ParseError with a 1-based position.
     """
     runs: list[tuple[str, int]] = []
+    delta = 0
     limit = max_word_len()
     total = 0
     i, n = 0, len(text)
@@ -282,15 +357,23 @@ def parse(text: str) -> BraidWord:
                 i += 1
             if i == start or text[start:i] == "-":
                 raise ParseError("expected integer exponent after '^'", start + 1)
-            exp = int(text[start:i])
-            if exp == 0:
+            digits = text[start:i].lstrip("-").lstrip("0")
+            # more digits than the limit has exceed it whatever they are, and
+            # int() refuses strings past sys.get_int_max_str_digits()
+            if len(digits) > len(str(limit)):
+                raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
+            if not digits:
                 raise ParseError("zero exponent not allowed", start + 1)
+            exp = -int(digits) if text[start] == "-" else int(digits)
         total += (3 if ch == "D" else 1) * abs(exp)
         if total > limit:
             raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
-        if ch == "D":
-            runs.extend(delta_runs(exp))
-        else:
+        if ch != "D":
             gen, sign = _LETTERS[ch]
             runs.append((gen, sign * exp))
-    return _word(runs)
+        elif runs:
+            runs.extend(delta_runs(exp))
+        else:
+            delta += exp
+    word = _word(runs)
+    return _Twisted(delta, word.syllables) if delta else word

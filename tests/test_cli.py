@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -11,8 +12,11 @@ import pytest
 import braid3
 import braid3.cli
 import braid3.cobordism
-from braid3.cli import main
+from braid3 import build_report, parse
+from braid3.cli import main, report_json
 from braid3.normal_form import ConjugacyCertificate, InternalInconsistencyError
+
+from conftest import random_word
 
 
 def run(capsys, *argv):
@@ -122,6 +126,20 @@ class TestInvariants:
         first.pop("word")
         second.pop("word")
         assert first == second
+
+    def test_delta_prefix_reports_like_its_expansion(self):
+        # "D^k w" keeps D^k as a number; spelled out as letters it does not
+        rng = random.Random(7)
+        words = [random_word(rng, rng.randint(0, 12)).display() for _ in range(200)]
+        for k in range(-8, 9):
+            block = " ".join(["a b a" if k > 0 else "A B A"] * abs(k))
+            for w in words:
+                prefixed = parse(f"D^{k} {w}" if k else w)
+                assert prefixed.delta == k
+                expanded = parse(f"{block} {w}")
+                assert expanded.delta == 0
+                assert (json.dumps(report_json(build_report(prefixed)))
+                        == json.dumps(report_json(build_report(expanded))))
 
 
 class TestCertify:
@@ -344,6 +362,17 @@ class TestWordLengthGuard:
         assert code == 0 and all("BRAID3_MAX_WORD_LEN" in r["error"] for r in rows)
         assert "2 processed, 2 errors" in err
 
+    @pytest.mark.parametrize("env, word", [
+        (None, "a^" + "9" * 5000),
+        ("9" * 5000, "a"),
+    ], ids=["exponent", "env"])
+    def test_numbers_past_the_int_digit_limit(self, capsys, monkeypatch, env, word):
+        if env is not None:
+            monkeypatch.setenv("BRAID3_MAX_WORD_LEN", env)
+        code, out, err = run(capsys, "normalize", word)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -355,3 +384,22 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "D^-3 a^7\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "a^3 B a^-3 B"],
+        ["normalize", "--certificate", "a^3 B a^-3 B"],
+        ["batch", "--csv", "words.csv"],
+    ], ids=["invariants", "normalize", "batch"])
+    def test_closed_stdout_pipe(self, argv, tmp_path):
+        (tmp_path / "words.csv").write_text("name,word\none,a b\ntwo,a^3 B a^-3 B\n")
+        src = str(Path(braid3.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "braid3", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.splitlines() == ["cannot write stdout: [Errno 32] Broken pipe"]

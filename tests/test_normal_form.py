@@ -17,6 +17,7 @@ from braid3.normal_form import (
     MurasugiTorus,
     _canonical_shift,
     _least_rotation,
+    delta_exponent,
     delta_positive_split,
     form_display,
     garside_normal_form,
@@ -65,6 +66,25 @@ class TestDeltaPositiveSplit:
             assert len(split.positive_part) == positive + 2 * inverse + 3 * (inverse % 2)
             assert split.k == -((inverse + 1) // 2)
             assert split.verify()
+
+    def test_leading_delta_passes_through(self, rng):
+        # D^k is already in front: e = k - (inverse letters), P as without it
+        for _ in range(300):
+            k = rng.randint(-6, 6)
+            tail = random_word(rng, rng.randrange(0, 20))
+            inverse = sum(-s.exp for s in tail if s.exp < 0)
+            positive = sum(s.exp for s in tail if s.exp > 0)
+            split = delta_positive_split(parse(f"D^{k} {tail.display()}" if k else tail.display()))
+            e = k - inverse
+            assert split.k == e // 2
+            assert len(split.positive_part) == positive + 2 * inverse + 3 * (e % 2)
+            assert split.verify()
+
+    def test_split_letters_do_not_grow_with_delta(self, monkeypatch):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", str(3 * 10**6 + 1))
+        small, large = (delta_positive_split(parse(f"D^-{n} a")) for n in (10, 10**6))
+        assert len(small.positive_part) == len(large.positive_part) == 1
+        assert (small.k, large.k) == (-5, -(10**6) // 2)
 
 
 class TestGarsideExamples:
@@ -123,6 +143,8 @@ class TestRealize:
             again, cert = garside_normal_form(realize(canonical))
             assert again == canonical, form
             assert cert.verify()
+            for f in (form, canonical, murasugi_from_garside(again, cert)[0]):
+                assert realize(f).delta == delta_exponent(f)
             seen += 1
 
 
@@ -354,3 +376,22 @@ class TestLongInputs:
                 assert (gform, mform) == (garside, murasugi)
         assert len(cases[-1][0]) == 30000
         assert verdicts == [True] * (2 * len(cases))
+
+    def test_delta_powers_cost_their_tail(self, monkeypatch):
+        # D^k stays a number from parse through the oracle, so these take
+        # well under a second although they expand to 3 * 10^6 letters
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", str(3 * 10**6 + 5))
+        n = 10**6
+        cases = [
+            ("D^-1000000 a", GarsideA(-n // 2, 1), MurasugiPower(-n // 2, 1)),
+            ("D^1000000 a^3 b^2", GarsideC(n // 2, ((3, 2),)),
+             MurasugiGeneric(n // 2 + 1, ((2, 1),))),
+        ]
+        for text, garside, murasugi in cases:
+            word = parse(text)
+            gform, gcert = garside_normal_form(word)
+            mform, mcert = murasugi_from_garside(gform, gcert)
+            assert (gform, mform) == (garside, murasugi)
+            assert gcert.verify() and mcert.verify()
+            assert gcert.target.delta == delta_exponent(gform)
+            assert form_display(gform) == text

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braid3.burau import _image
 from braid3.normal_form import GarsideC, MurasugiGeneric, garside_normal_form, realize
 from braid3.words import (
     BraidWord,
@@ -104,7 +105,24 @@ class TestParse:
             parse("a^11")
         assert runs(parse("a^10")) == [("a", 10)]
 
-    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3"])
+    def test_overlong_exponent_is_the_guard_error(self):
+        # past int()'s 4300-digit limit, which must not be reached
+        with pytest.raises(ParseError, match="BRAID3_MAX_WORD_LEN"):
+            parse("a^" + "9" * 5000)
+        assert parse("a^-" + "0" * 5000 + "3") == parse("A^3")
+        with pytest.raises(ParseError, match="zero exponent"):
+            parse("a^-" + "0" * 5000)
+
+    def test_leading_d_terms_become_delta(self):
+        assert parse("D^3 D^-1 a").delta == 2
+        assert parse("D^3 D^-1 a") == parse("a b a^2 b a^2")
+        assert parse("D") == parse("aba") and parse("D").delta == 1
+        assert parse("D^2 D^-2 a").delta == 0 and parse("D^2 D^-2 a") == parse("a")
+        # a D after the first a/b letter expands in place
+        assert parse("a D^-1").delta == 0 and parse("a D^-1") == parse("B A")
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3", "9" * 5000],
+                             ids=["abc", "-1", "1e3", "5000-digits"])
     def test_invalid_length_guard_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", raw)
         with pytest.raises(WordLimitError, match="BRAID3_MAX_WORD_LEN"):
@@ -282,3 +300,50 @@ class TestWritheAndPermutation:
     def test_knot_iff_three_cycle_exhaustive(self):
         for w in reduced_words(10):
             assert w.is_knot() == (cycle_type(w.permutation()) == (3,))
+
+
+def _delta_prefixed(k, tail):
+    return parse(f"D^{k} {tail.display()}") if k else tail
+
+
+class TestDeltaPrefix:
+    """A word read with leading D terms keeps D^k as a number; every
+    operation must see the word it expands to."""
+
+    @staticmethod
+    def _views(w):
+        return (w.syllables, len(w), bool(w), w.writhe(), w.permutation(),
+                w.display(), _image(w), hash(w))
+
+    @given(st.integers(-8, 8), words_strategy, words_strategy)
+    @settings(max_examples=300)
+    # tails that cancel into D^k: all of it, all but its first run, and deep
+    # into the block with a merge at the seam
+    @example(3, parse("A B A^2 B A^2 B A"), BraidWord())
+    @example(-3, parse("a b a^2 b a"), parse("b"))
+    @example(2, parse("A B A^3 b"), parse("a"))
+    @example(-1, parse("a b a"), parse("A"))
+    def test_operations_match_the_expanded_word(self, k, tail, other):
+        w = _delta_prefixed(k, tail)
+        plain = BraidWord.from_runs(w.syllables)
+        assert w.delta == k
+        assert w.syllables == tuple(plain) and all(type(s) is Syllable for s in w.syllables)
+        assert w == plain and plain == w
+        for op in (
+            lambda x: x,
+            lambda x: x * other,
+            lambda x: other * x,
+            lambda x: x * x,
+            lambda x: x.inverse(),
+            lambda x: x.mirror(),
+            lambda x: x.swap_generators(),
+            lambda x: x ** 2,
+            lambda x: x ** -1,
+        ):
+            assert self._views(op(w)) == self._views(op(plain))
+        assert _delta_prefixed(k, tail * other) == w * other
+
+    def test_inequality_across_deltas(self):
+        assert parse("D^2 a") != parse("D^2 b") and parse("D^2 a") != parse("D^-2 a")
+        assert parse("D^2 a") != parse("a b a^2 b a^2 b")
+        assert len({parse("D^2"), parse("a b a^2 b a"), parse("aba aba")}) == 1
