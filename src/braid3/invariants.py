@@ -64,8 +64,10 @@ class IntInterval:
 
 
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
+    # this rejects cases A and power, the half twist and case B with p = 2,
+    # so the knot invariants below see only B, C, D, torus and generic forms;
     # D^2 is a pure braid, so the closure's components depend on k mod 2 only
-    perm = runs_permutation(delta_runs(delta_exponent(form) % 2) + tail_runs(form))
+    perm = runs_permutation((*delta_runs(delta_exponent(form) % 2), *tail_runs(form)))
     if perm not in KNOT_PERMS:
         raise NotAKnotError(f"closure of {form} is not a knot")
 
@@ -103,9 +105,7 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
         return _as_int(val, "upsilon")
     if isinstance(form, (GarsideB, MurasugiTorus)):
         return _torus_upsilon(*_torus_family(form))
-    if isinstance(form, (GarsideC, GarsideD)):
-        return _as_int(homogenized_upsilon(form), "upsilon")
-    raise NotAKnotError(f"{form} never closes to a knot")
+    return _as_int(homogenized_upsilon(form), "upsilon")
 
 
 def signature(form: GarsideForm | MurasugiForm) -> int:
@@ -121,11 +121,9 @@ def signature(form: GarsideForm | MurasugiForm) -> int:
         if ell < 0 and (-ell - 1) % 2 == 1:
             return 2 * ups + 2
         return 2 * ups
-    if isinstance(form, (GarsideC, GarsideD)):
-        # these classes contain no braid-index-3 torus closures, so the
-        # exceptional signature correction never applies here
-        return 2 * upsilon(form)
-    raise NotAKnotError(f"{form} never closes to a knot")
+    # cases C and D contain no braid-index-3 torus closures, so the
+    # exceptional signature correction never applies here
+    return 2 * upsilon(form)
 
 
 def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
@@ -195,9 +193,7 @@ def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
     if isinstance(form, (GarsideC, GarsideD)):
         twist = form.ell + form.r
         return IntInterval.point(twist - 1) if form.ell >= 0 else _twist_interval(twist)
-    if isinstance(form, MurasugiGeneric):
-        return _twist_interval(form.ell)
-    raise NotAKnotError(f"{form} never closes to a knot")
+    return _twist_interval(form.ell)
 
 
 def minimal_positive_switches(form: GarsideForm | MurasugiForm) -> int | None:

@@ -16,15 +16,16 @@ and to exactly one classical (Murasugi) shape
   torus      D^(2l) ab   or   D^(2l) (ab)^2
   generic    D^(2l) a^-p1 b^q1 ... a^-pr b^qr  all p_i, q_i >= 1.
 
-The classifier works constructively: eliminate inverse letters through
-a^-1 = D^-1 ab and b^-1 = D^-1 ba, pull half twists out of the positive
-remainder in one stack pass, then sort the residue into its case with
-explicit conjugations.  Every step either preserves the group element on
-the nose or conjugates by a recorded word, so each result ships with a
-ConjugacyCertificate.  The exact word-problem oracle of module burau (the
-SL2(Z) image of the braid paired with its writhe) checks every certificate
-before it is returned.  Each stage is linear in the letter count of the
-split word, apart from sorting the distinct blocks of the rotation below.
+The classifier works constructively: delta_positive_split eliminates
+inverse letters through a^-1 = D^-1 ab and b^-1 = D^-1 ba,
+_extract_half_twists pulls half twists out of the positive remainder in
+one stack pass, and _classify sorts the alternating residue into its case.
+Every step preserves the group element or conjugates by a word appended
+to one list of pieces, so each result ships with a ConjugacyCertificate,
+which the exact word-problem oracle of module burau (the SL2(Z) image of
+the braid paired with its writhe) checks before it is returned.  Each
+stage is linear in the letter count of the split word, apart from sorting
+the distinct blocks of the rotation below.
 
 Canonical rotation: among all cyclic rotations of the exponent sequence
 (2r of them for case C, 2r-1 for case D -- odd shifts exchange the roles
@@ -42,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .burau import conjugates_to, words_equal
-from .words import GEN_A, GEN_B, BraidWord, _OTHER, _Twisted, _word, delta_power, delta_runs
+from .words import GEN_A, GEN_B, BraidWord, _Twisted, _word, delta_power, delta_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -259,9 +260,7 @@ class DeltaSplit:
     source: BraidWord
 
     def verify(self) -> bool:
-        return words_equal(
-            self.source, delta_power(2 * self.k) * self.positive_part
-        )
+        return words_equal(self.source, delta_power(2 * self.k) * self.positive_part)
 
 
 #: generator <-> bit, so that exchanging a and b (tau) is an XOR with 1
@@ -269,7 +268,7 @@ _BIT = {GEN_A: 0, GEN_B: 1}
 _GEN = (GEN_A, GEN_B)
 
 #: the half twist D = aba, as conjugator runs
-_D_RUNS = [(GEN_A, 1), (GEN_B, 1), (GEN_A, 1)]
+_D_RUNS = delta_runs(1)
 
 
 def delta_positive_split(word: BraidWord) -> DeltaSplit:
@@ -299,130 +298,82 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             rel.append((x, 1))
             rel.append((x ^ 1, 1))
     e, flip = word.delta - m, m & 1
-    runs = (_D_RUNS if e & 1 else []) + [(_GEN[x ^ flip], n) for x, n in rel]
+    runs = list(delta_runs(e & 1)) + [(_GEN[x ^ flip], n) for x, n in rel]
     return DeltaSplit(k=e >> 1, positive_part=_word(runs), source=word)
 
 
 # ---------------------------------------------------------------------------
-# The classifier
+# The classifier: the working braid is D^n times a positive tail, and each
+# conjugation appends its word to `pieces`, so that D^n * tail is
+# conj * original * conj^-1 with conj the pieces multiplied last first.
 
 
-class _State:
-    """Working state: the braid D^n * (positive word in `runs`) together
-    with the conjugator accumulated so far, so that
+def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int, list, list]:
+    """Pull D factors out of D^n * positive until no rotation of the tail
+    exposes one; return the new n and the generator bits and exponents of
+    the tail, whose runs alternate between the generators.
 
-        D^n * runs  =  conj * original * conj^-1   in B3.
+    One left-to-right pass pushes the runs onto a stack.  Every stack run
+    strictly between the bottom and the one below the top has exponent
+    >= 2, so when the run below the top is a single h between g-runs,
+    g h g = D is extracted there: u D v = D tau(u) v moves it to the front
+    and exchanges the generators of the stack below.  An entry stores its
+    generator bit XOR the parity of n when pushed, so that exchange is
+    n += 1.
 
-    Runs are mutable [gen, exp] pairs with exp >= 1, adjacent generators
-    distinct.  Each conjugation multiplies conj on the left; the pieces are
-    kept in the order they were applied and reversed once by conjugator().
+    When the input is used up, the tail still has a half twist exactly
+    when its rotation through D^n does: a single at the bottom or the top
+    of the stack whose seam does not merge the two boundary runs.  The pass
+    then continues by rotating the bottom letter onto the top, conjugating
+    it through D^n.  Each extraction removes three letters and follows at
+    most two such rotations, so the work is linear in the letter count.
     """
-
-    __slots__ = ("n", "runs", "pieces")
-
-    def __init__(self, n: int, positive: BraidWord):
-        self.n = n
-        self.runs: list[list] = [[g, e] for g, e in positive]
-        self.pieces: list[list[tuple[str, int]]] = []
-
-    # -- conjugator bookkeeping (left-composed) --
-
-    def _conjugate(self, runs: list[tuple[str, int]]) -> None:
-        self.pieces.append(runs)
-
-    def conjugator(self) -> BraidWord:
-        return _word(run for piece in reversed(self.pieces) for run in piece)
-
-    # -- primitive moves --
-
-    def swap(self) -> None:
-        """Conjugate by D: exchanges the two generators in the tail."""
-        self.runs = [[_OTHER[g], e] for g, e in self.runs]
-        self._conjugate(_D_RUNS)
-
-    def fold_tail(self) -> None:
-        """Move the whole last run to the front of the tail (through D^n)."""
-        g, e = self.runs.pop()
-        front = g if self.n % 2 == 0 else _OTHER[g]
-        if self.runs and self.runs[0][0] == front:
-            self.runs[0][1] += e
-        else:
-            self.runs.insert(0, [front, e])
-        self._conjugate([(g, e)])
-
-    def set_tail(self, runs: list[list], delta_shift: int, conj: list[tuple[str, int]]):
-        """Replace the tail wholesale; used by the small fix-up cases."""
-        self.n += delta_shift
-        self.runs = runs
-        self._conjugate(conj)
-
-    # -- half-twist extraction --
-
-    def extract_half_twists(self) -> None:
-        """Pull out D factors until no rotation of the tail exposes one.
-
-        One left-to-right pass pushes the runs onto a stack.  Every stack
-        run strictly between the bottom and the one below the top has
-        exponent >= 2, so when the run below the top is a single h between
-        g-runs, g h g = D is extracted there: u D v = D tau(u) v moves it to
-        the front and exchanges the generators of the stack below.  An entry
-        stores its generator bit XOR the parity of n when pushed, so that
-        exchange is n += 1.
-
-        When the input is used up, the tail still has a half twist exactly
-        when its rotation through D^n does: a single at the bottom or the
-        top of the stack whose seam does not merge the two boundary runs.
-        The pass then continues by rotating the bottom letter onto the top,
-        conjugating it through D^n.  Each extraction removes three letters
-        and follows at most two such rotations, so the work is linear in
-        the letter count.
-        """
-        n = self.n
-        stack: deque[list[int]] = deque()  # [generator bit XOR parity of n at push, exp]
-        pending = deque((_BIT[g], e) for g, e in self.runs)  # actual generator bits
-        idle = 0  # rotations since the last extraction
-        while True:
-            while pending:
-                g, e = pending.popleft()
-                if stack and stack[-1][0] ^ (n & 1) == g:
-                    stack[-1][1] += e
-                else:
-                    stack.append([g ^ (n & 1), e])
-                if len(stack) >= 3 and stack[-2][1] == 1:
-                    top = stack.pop()
-                    stack.pop()
-                    if stack[-1][1] == 1:
-                        stack.pop()
-                    else:
-                        stack[-1][1] -= 1
-                    if top[1] > 1:
-                        pending.appendleft((top[0] ^ (n & 1), top[1] - 1))
-                    n += 1
-                    idle = 0
-            # a seam that merges the boundary runs, or a tail of at most
-            # two letters, exposes no half twist
-            if (
-                len(stack) < 2
-                or len(stack) % 2 != n % 2
-                or (len(stack) == 2 and stack[0][1] + stack[1][1] < 3)
-                or (stack[0][1] > 1 and stack[-1][1] > 1)
-            ):
-                break
-            idle += 1
-            if idle > 2:
-                raise InternalInconsistencyError(
-                    "expected half twist did not surface under rotation"
-                )
-            bottom = stack[0]
-            if bottom[1] == 1:
-                stack.popleft()
+    bits: deque[int] = deque()  # generator bit XOR parity of n at push
+    exps: deque[int] = deque()
+    pending = deque((_BIT[g], e) for g, e in positive)  # actual generator bits
+    idle = 0  # rotations since the last extraction
+    while True:
+        while pending:
+            g, e = pending.popleft()
+            if bits and bits[-1] ^ (n & 1) == g:
+                exps[-1] += e
             else:
-                bottom[1] -= 1
-            # through D^n the letter's generator becomes its stored bit
-            pending.append((bottom[0], 1))
-            self._conjugate([(_GEN[bottom[0]], -1)])
-        self.n = n
-        self.runs = [[_GEN[g ^ (n & 1)], e] for g, e in stack]
+                bits.append(g ^ (n & 1))
+                exps.append(e)
+            if len(exps) >= 3 and exps[-2] == 1:
+                top, e = bits.pop(), exps.pop()
+                del bits[-1], exps[-1]
+                if exps[-1] == 1:
+                    del bits[-1], exps[-1]
+                else:
+                    exps[-1] -= 1
+                if e > 1:
+                    pending.appendleft((top ^ (n & 1), e - 1))
+                n += 1
+                idle = 0
+        # a seam that merges the boundary runs, or a tail of at most two
+        # letters, exposes no half twist
+        if (
+            len(exps) < 2
+            or len(exps) % 2 != n % 2
+            or (len(exps) == 2 and exps[0] + exps[1] < 3)
+            or (exps[0] > 1 and exps[-1] > 1)
+        ):
+            break
+        idle += 1
+        if idle > 2:
+            raise InternalInconsistencyError(
+                "expected half twist did not surface under rotation"
+            )
+        bottom = bits[0]
+        if exps[0] == 1:
+            del bits[0], exps[0]
+        else:
+            exps[0] -= 1
+        # through D^n the letter's generator becomes its stored bit
+        pending.append((bottom, 1))
+        pieces.append(((_GEN[bottom], -1),))
+    return n, [b ^ (n & 1) for b in bits], list(exps)
 
 
 def _least_rotation(seq: list) -> int:
@@ -468,59 +419,54 @@ def _canonical_shift(seq: list[int]) -> int:
     return starts[_least_rotation([rank[b] for b in blocks])]
 
 
-def _rotate_canonically(state: _State) -> list[int]:
+def _rotate_canonically(n: int, exps: list[int], pieces: list) -> list[int]:
     """Rotate the exponents of an a-leading alternating tail left by the
     canonical shift and return them.  Each leading a-run is conjugated to
     the back through D^n, where it reads as b when n is odd, and a
     conjugation by D makes the tail a-leading again."""
-    exps = [e for _, e in state.runs]
     shift = _canonical_shift(exps)
-    moved = _GEN[state.n & 1]
+    moved = _GEN[n & 1]
     for e in exps[:shift]:
-        state._conjugate([(moved, -e)])
-        state._conjugate(_D_RUNS)
-    exps = exps[shift:] + exps[:shift]
-    state.runs = [[_GEN[i & 1], e] for i, e in enumerate(exps)]
-    return exps
+        pieces.append(((moved, -e),))
+        pieces.append(_D_RUNS)
+    return exps[shift:] + exps[:shift]
 
 
-def _classify(state: _State) -> GarsideForm:
-    """Sort a fully extracted state into its case, canonically rotated."""
-    runs = state.runs
-    n = state.n
-
-    if not runs:
+def _classify(n: int, bits: list[int], exps: list[int], pieces: list) -> GarsideForm:
+    """Sort the extracted D^n * tail into its case, canonically rotated;
+    the tail alternates generators from bits[0] with exponents exps."""
+    if not exps:
         if n % 2 == 0:
             return GarsideA(n // 2, 0)
         # D^(2l+1) = a (D^2l a^2 b) a^-1
-        state.set_tail([[GEN_A, 2], [GEN_B, 1]], -1, [(GEN_A, 1)])
+        pieces.append(((GEN_A, 1),))
         return GarsideB((n - 1) // 2, 2)
 
-    if runs[0][0] == GEN_B:
-        state.swap()
+    if bits[0]:
+        # conjugating by D exchanges the generators: the tail leads with a
+        pieces.append(_D_RUNS)
 
-    if len(runs) == 1:
-        p = state.runs[0][1]
+    if len(exps) == 1:
+        p = exps[0]
         if n % 2 == 0:
             return GarsideA(n // 2, p)
         if p == 1:
             # D^(2l+1) a = a^2 (D^2l a^3 b) a^-2
-            state.set_tail([[GEN_A, 3], [GEN_B, 1]], -1, [(GEN_A, 2)])
+            pieces.append(((GEN_A, 2),))
             return GarsideB((n - 1) // 2, 3)
         return GarsideD((n - 1) // 2, (), p)
 
+    if n % 2 == 0 and sum(exps) == 2:
+        return GarsideB(n // 2, 1)
+    if len(exps) % 2 != n % 2:
+        # the last run, a for even n and b for odd, reads as a through D^n:
+        # conjugating it to the front merges it into the first run
+        e = exps.pop()
+        exps[0] += e
+        pieces.append(((_GEN[n & 1], e),))
+    exps = _rotate_canonically(n, exps, pieces)
     if n % 2 == 0:
-        if sum(e for _, e in state.runs) == 2:
-            return GarsideB(n // 2, 1)
-        if state.runs[-1][0] == GEN_A:
-            state.fold_tail()
-        exps = _rotate_canonically(state)
         return GarsideC(n // 2, tuple(zip(exps[::2], exps[1::2])))
-
-    # odd power of D
-    if state.runs[-1][0] == GEN_B:
-        state.fold_tail()
-    exps = _rotate_canonically(state)
     return GarsideD((n - 1) // 2, tuple(zip(exps[:-1:2], exps[1::2])), exps[-1])
 
 
@@ -533,14 +479,11 @@ def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertific
     InternalInconsistencyError.
     """
     split = delta_positive_split(word)
-    state = _State(2 * split.k, split.positive_part)
-    state.extract_half_twists()
-    form = _classify(state)
+    pieces: list[tuple[tuple[str, int], ...]] = []  # conjugating words, in order
+    form = _classify(*_extract_half_twists(2 * split.k, split.positive_part, pieces), pieces)
 
-    target = realize(form)
-    cert = ConjugacyCertificate(
-        conjugator=state.conjugator(), source=word, target=target
-    )
+    conj = _word(run for piece in reversed(pieces) for run in piece)
+    cert = ConjugacyCertificate(conjugator=conj, source=word, target=realize(form))
     if not cert.verify():
         raise InternalInconsistencyError(
             f"normal-form certificate failed for {word.display()!r}"

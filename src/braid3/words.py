@@ -222,12 +222,12 @@ class _Twisted(BraidWord):
         merges with the last run of D^h without cancelling."""
         k = self.delta
         c = min(abs(k), len(self.tail) // 2 + 1) * (1 if k > 0 else -1)
-        return k - c, BraidWord(_delta_block(c)) * BraidWord(self.tail)
+        return k - c, BraidWord(delta_runs(c)) * BraidWord(self.tail)
 
     @cached_property
     def syllables(self) -> tuple[Syllable, ...]:
         h, rest = self._seam
-        return (BraidWord(_delta_block(h)) * rest).syllables
+        return (BraidWord(delta_runs(h)) * rest).syllables
 
     def __len__(self) -> int:
         h, rest = self._seam
@@ -238,34 +238,26 @@ class _Twisted(BraidWord):
 
     def inverse(self) -> BraidWord:
         # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
-        return BraidWord(self.tail).inverse() * BraidWord(_delta_block(-self.delta))
+        return BraidWord(self.tail).inverse() * BraidWord(delta_runs(-self.delta))
 
     def writhe(self) -> int:
         return 3 * self.delta + sum(e for _, e in self.tail)
 
     def permutation(self) -> tuple[int, int, int]:
         # D^2 is a pure braid
-        return runs_permutation(delta_runs(self.delta % 2) + list(self.tail))
+        return runs_permutation(delta_runs(self.delta % 2) + self.tail)
 
     def display(self) -> str:
         h, rest = self._seam
-        seam = BraidWord(_delta_block(h)[-1:]) * rest
-        block = _delta_block(h, lambda run: BraidWord((run,)).display())
+        seam = BraidWord(delta_runs(h)[-1:]) * rest
+        block = delta_runs(h, lambda run: BraidWord((run,)).display())
         return " ".join(block[:-1] + (seam.display(),))
 
 
-def delta_runs(k: int) -> list[tuple[str, int]]:
-    """The merged runs of D^k (k may be negative): a b (a^2 b)^(|k|-1) a,
-    with every exponent signed like k."""
-    if k == 0:
-        return []
-    sign = 1 if k > 0 else -1
-    middle = [(GEN_A, 2 * sign), (GEN_B, sign)] * (abs(k) - 1)
-    return [(GEN_A, sign), (GEN_B, sign)] + middle + [(GEN_A, sign)]
-
-
-def _delta_block(k: int, f=_syllable) -> tuple:
-    """delta_runs(k) as a tuple of f(run), with f called three times."""
+def delta_runs(k: int, f=_syllable) -> tuple:
+    """The merged runs of D^k (k may be negative), a b (a^2 b)^(|k|-1) a
+    with every exponent signed like k, as a tuple of f(run); f is called
+    three times, whatever k is."""
     if not k:
         return ()
     s = 1 if k > 0 else -1

@@ -37,6 +37,12 @@ from braid3.words import BraidWord, delta_power, parse
 
 from conftest import random_word
 
+#: the invariants defined on knot closures only
+KNOT_ONLY_INVARIANTS = (
+    upsilon, signature, rasmussen_s, genus_tau, alternating_distances,
+    minimal_positive_switches, upsilon_upper_bound_slope,
+)
+
 
 def torus_word(q: int) -> BraidWord:
     """(ab)^q closes to the torus knot T(3, q) when gcd(q, 3) = 1."""
@@ -182,7 +188,8 @@ class TestGenusTau:
         assert genus_tau(mform) == (None, None, 1)
 
     def test_knot_test_and_genus_agree_with_realized_word(self):
-        # both come from the form's tail; D^2 is pure and D has three crossings
+        # both come from the form's tail; D^2 is pure and D has three crossings.
+        # Every knot-only invariant rejects the link forms.
         shapes = (
             GarsideA(0, 3), GarsideB(0, 1), GarsideB(0, 2), GarsideB(0, 3),
             GarsideC(0, ((2, 3),)), GarsideC(0, ((3, 3), (2, 2))),
@@ -190,17 +197,21 @@ class TestGenusTau:
             MurasugiHalfTwist(0), MurasugiTorus(0, "ab"), MurasugiTorus(0, "abab"),
             MurasugiGeneric(0, ((1, 2),)), MurasugiGeneric(0, ((2, 1), (1, 1))),
         )
+        links = 0
         for shape in shapes:
             for ell in range(-3, 4):
                 form = dataclasses.replace(shape, ell=ell)
                 word = realize(form)
                 if not word.is_knot():
-                    with pytest.raises(NotAKnotError):
-                        genus_tau(form)
+                    links += 1
+                    for invariant in KNOT_ONLY_INVARIANTS:
+                        with pytest.raises(NotAKnotError):
+                            invariant(form)
                     continue
                 gt = genus_tau(form)
                 if gt is not None and gt[0] is not None:
                     assert gt[0] == (word.writhe() - 2) // 2
+        assert links == 49  # 7 link shapes at 7 values of ell
 
     def test_upsilon_bounded_by_four_genus(self, rng):
         for _ in range(200):
