@@ -188,8 +188,10 @@ def certificate_from_json(data: dict) -> CobordismCertificate:
     for f in data["end_factors"]:
         if f["type"] == "torus":
             factors.append(TorusFactor(f["q"]))
-        else:
+        elif f["type"] == "closure":
             factors.append(ClosureFactor(parse(f["word"])))
+        else:
+            raise ValueError(f"unknown end factor type {f['type']!r}")
     num, den = data["genus"].split("/")
     return CobordismCertificate(
         kind=data["kind"],

@@ -5,10 +5,11 @@ sums of T(2, odd) torus knots, with Euler-characteristic bookkeeping.
 A certificate records the starting braid word, a symbolic end state (a
 connected sum of torus knots, possibly together with a braid closure),
 and the saddle moves in between.  Each saddle changes the Euler
-characteristic by -1; with knots on both ends the genus is -chi/2.  The
-replay in verify() recomputes all of that from scratch and also checks
-the concordance inequality  |upsilon(start) - upsilon(end)| <= genus,
-so a tampered certificate is rejected with a reason.
+characteristic by -1; with knots on both ends the genus is -chi/2.
+verify() recomputes that from scratch, rebuilds the certificate with its
+kind's construction and compares the two, and checks the concordance
+inequality |upsilon(start) - upsilon(end)| <= genus, so a tampered
+certificate is rejected with a reason.
 """
 
 from __future__ import annotations
@@ -162,38 +163,30 @@ def torus_sum_cobordism(word: BraidWord) -> CobordismCertificate:
     """
     if not word.is_knot():
         raise PreconditionError("closure is not a knot")
-    start = _cyclic_positive_normalize(word)
-    moves, factors = _torus_sum_plan(_alternating_pairs(start))
-    return _checked(CobordismCertificate(
-        kind="torus-sum",
-        start=start,
-        end=ConnectedSum(factors),
-        moves=moves,
-        euler_char=-len(moves),
-        genus=Fraction(len(moves), 2),
-    ))
+    return _checked(_torus_sum(_cyclic_positive_normalize(word)))
 
 
-def _torus_sum_plan(
-    pairs: list[tuple[int, int]]
-) -> tuple[tuple[SaddleMove, ...], tuple[TorusFactor, ...]]:
-    """The moves and end factors of the torus-sum construction on
-    a^p1 b^q1 ... a^pr b^qr: an insert for the a-total and for each b-run
-    that is even, then r - 1 splits."""
+def _torus_sum(start: BraidWord) -> CobordismCertificate:
+    """The torus-sum certificate on start = a^p1 b^q1 ... a^pr b^qr: an
+    insert for the a-total and for each b-run that is even, then r - 1
+    splits.  Raises PreconditionError on a start word of another shape."""
+    pairs = _alternating_pairs(start)
     a_total = sum(p for p, _ in pairs)
     moves = [SaddleMove(INSERT, 0, GEN_A)] if a_total % 2 == 0 else []
     moves += [SaddleMove(INSERT, 2 * i + 1, GEN_B) for i, (_, q) in enumerate(pairs) if q % 2 == 0]
     moves += [SaddleMove(SPLIT, 2 * i + 1, GEN_B) for i in range(len(pairs) - 1)]
     totals = [a_total] + [q for _, q in pairs]
-    return tuple(moves), tuple(TorusFactor(x + (x + 1) % 2) for x in totals)
+    end = ConnectedSum(tuple(TorusFactor(x + (x + 1) % 2) for x in totals))
+    return CobordismCertificate(
+        kind="torus-sum", start=start, end=end,
+        moves=tuple(moves), euler_char=-len(moves), genus=Fraction(len(moves), 2),
+    )
 
 
 def _checked(cert: CobordismCertificate) -> CobordismCertificate:
     result = verify(cert)
     if not result:
-        raise InternalInconsistencyError(
-            f"freshly built certificate failed: {result.reasons}"
-        )
+        raise InternalInconsistencyError(f"freshly built certificate failed: {result.reasons}")
     return cert
 
 
@@ -205,86 +198,68 @@ def twist_trick(gamma: BraidWord, n: int) -> CobordismCertificate:
         raise PreconditionError("twist count n must be >= 1")
     if not gamma.is_knot():
         raise PreconditionError("closure of gamma is not a knot")
-    start, moves = _twist_plan(gamma, n)
-    return _checked(CobordismCertificate(
-        kind="twist",
-        start=start,
-        end=ConnectedSum((ClosureFactor(gamma), TorusFactor(2 * n + 1))),
-        moves=moves,
-        euler_char=-2,
-        genus=Fraction(1),
-    ))
+    return _checked(_twist(gamma, n))
 
 
-def _twist_plan(gamma: BraidWord, n: int) -> tuple[BraidWord, tuple[SaddleMove, ...]]:
-    """Start word gamma b^(2n) and the insert and split on its last run."""
+def _twist(gamma: BraidWord, n: int) -> CobordismCertificate:
+    """The twist certificate: start gamma b^(2n), insert and split on its last run."""
     start = gamma * _word([(GEN_B, 2 * n)])
     pos = len(start.syllables) - 1
-    return start, (SaddleMove(INSERT, pos, GEN_B), SaddleMove(SPLIT, pos, GEN_B))
+    end = ConnectedSum((ClosureFactor(gamma), TorusFactor(2 * n + 1)))
+    return CobordismCertificate(
+        kind="twist", start=start, end=end,
+        moves=(SaddleMove(INSERT, pos, GEN_B), SaddleMove(SPLIT, pos, GEN_B)),
+        euler_char=-2, genus=Fraction(1),
+    )
 
 
-def _replay_torus_sum(cert: CobordismCertificate, reasons: list[str]) -> None:
-    try:
-        pairs = _alternating_pairs(cert.start)
-    except PreconditionError:
-        reasons.append("start word does not fit the construction")
-        return
-    moves, factors = _torus_sum_plan(pairs)
-    if tuple(cert.moves) != moves:
-        reasons.append("move sequence does not match construction")
-    if cert.end.factors != factors:
-        reasons.append("end expression does not match construction")
-
-
-def _replay_twist(cert: CobordismCertificate, reasons: list[str]) -> None:
-    factors = cert.end.factors
-    if (
-        len(factors) != 2
-        or not isinstance(factors[0], ClosureFactor)
-        or not isinstance(factors[1], TorusFactor)
-    ):
-        reasons.append("end expression does not match construction")
-        return
-    gamma, torus = factors
-    if torus.q < 3:
-        reasons.append("twist region must have n >= 1")
-        return
-    start, moves = _twist_plan(gamma.word, (torus.q - 1) // 2)
-    if cert.start != start:
-        reasons.append("start word does not match construction")
-    if cert.moves != moves:
-        reasons.append("move sequence does not match construction")
+def _rebuilt(cert: CobordismCertificate, reasons: list[str]) -> CobordismCertificate | None:
+    """What cert's kind builds from cert's start word (torus-sum) or end factors
+    (twist); None, with a reason appended, when they do not fit it."""
+    if cert.kind == "torus-sum":
+        try:
+            return _torus_sum(cert.start)
+        except PreconditionError:
+            reasons.append("start word does not fit the construction")
+    elif cert.kind == "twist":
+        factors = cert.end.factors
+        if [type(f) for f in factors] != [ClosureFactor, TorusFactor]:
+            reasons.append("end expression does not match construction")
+        elif factors[1].q < 3:
+            reasons.append("twist region must have n >= 1")
+        else:
+            return _twist(factors[0].word, (factors[1].q - 1) // 2)
+    else:
+        reasons.append(f"unknown certificate kind {cert.kind!r}")
+    return None
 
 
 def verify(cert: CobordismCertificate) -> VerificationResult:
-    """Replay a certificate from scratch; collects every failed check."""
+    """Replay a certificate against its kind's construction; collects every failed check."""
     reasons: list[str] = []
 
     chi = -len(cert.moves)
     if cert.euler_char != chi:
         reasons.append("euler characteristic mismatch")
 
-    start_knot = cert.start.is_knot()
-    end_knot = cert.end.is_knot()
-    if not (start_knot and end_knot):
+    knots = cert.start.is_knot() and cert.end.is_knot()
+    if not knots:
         reasons.append("boundary components are not knots")
     elif chi % 2:
         reasons.append("non-integral genus")
-    else:
-        genus = Fraction(-chi, 2)
-        if cert.genus != genus:
-            reasons.append("genus mismatch")
-        if genus < 0:
-            reasons.append("negative genus")
+    elif cert.genus != Fraction(-chi, 2):
+        reasons.append("genus mismatch")
 
-    if cert.kind == "torus-sum":
-        _replay_torus_sum(cert, reasons)
-    elif cert.kind == "twist":
-        _replay_twist(cert, reasons)
-    else:
-        reasons.append(f"unknown certificate kind {cert.kind!r}")
+    built = _rebuilt(cert, reasons)
+    if built is not None:
+        if cert.start != built.start:
+            reasons.append("start word does not match construction")
+        if tuple(cert.moves) != built.moves:
+            reasons.append("move sequence does not match construction")
+        if cert.end.factors != built.end.factors:
+            reasons.append("end expression does not match construction")
 
-    if start_knot and end_knot:
+    if knots:
         form, _ = garside_normal_form(cert.start)
         gap = abs(upsilon(form) - cert.end.upsilon())
         if gap > cert.genus:

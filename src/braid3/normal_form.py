@@ -21,9 +21,10 @@ inverse letters through a^-1 = D^-1 ab and b^-1 = D^-1 ba,
 _extract_half_twists pulls half twists out of the positive remainder in
 one stack pass, and _classify sorts the alternating residue into its case.
 Every step preserves the group element or conjugates by a word appended
-to one list of pieces, so each result ships with a ConjugacyCertificate,
-which the exact word-problem oracle of module burau (the SL2(Z) image of
-the braid paired with its writhe) checks before it is returned.  Each
+to one list of pieces, and the Murasugi conversion appends its own pieces
+the same way, so each result ships with a ConjugacyCertificate, which the
+exact word-problem oracle of module burau (the SL2(Z) image of the braid
+paired with its writhe) checks before it is returned.  Each
 stage is linear in the letter count of the split word, apart from sorting
 the distinct blocks of the rotation below.
 
@@ -481,43 +482,48 @@ def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertific
     split = delta_positive_split(word)
     pieces: list[tuple[tuple[str, int], ...]] = []  # conjugating words, in order
     form = _classify(*_extract_half_twists(2 * split.k, split.positive_part, pieces), pieces)
+    return form, _certified(word, form, pieces, "normal-form")
 
+
+def _certified(source: BraidWord, form, pieces: list, what: str) -> ConjugacyCertificate:
+    """The certificate taking source to the realized form by the pieces,
+    multiplied last first; the oracle checks it and a failure raises
+    InternalInconsistencyError."""
     conj = _word(run for piece in reversed(pieces) for run in piece)
-    cert = ConjugacyCertificate(conjugator=conj, source=word, target=realize(form))
+    cert = ConjugacyCertificate(conj, source, realize(form))
     if not cert.verify():
-        raise InternalInconsistencyError(
-            f"normal-form certificate failed for {word.display()!r}"
-        )
-    return form, cert
+        raise InternalInconsistencyError(f"{what} certificate failed for {source.display()!r}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
 # Murasugi normal form via the Garside classification
 
 
-def _generic_from_slots(ell: int, slots: list[int]) -> tuple[MurasugiForm, int]:
+def _unrotate(pairs: list[tuple[int, int]]) -> list[tuple[str, int]]:
+    """(prod a^-p b^q over pairs)^-1, the conjugator that rotates it to the back."""
+    return [run for p, q in reversed(pairs) for run in ((GEN_B, -q), (GEN_A, p))]
+
+
+def _generic_from_slots(ell: int, slots: list[int], pieces: list) -> MurasugiForm:
     """Cyclic merge of the slot word a^-1 b^e1 a^-1 b^e2 ... into generic
-    pairs.  Returns the form plus the slot shift applied, so the caller can
-    record the matching rotation conjugator."""
+    pairs, then the canonical pair rotation (lexicographically smallest
+    flattening).  Both rotations append their conjugator to pieces."""
     m = len(slots)
     nonzero = [j for j, e in enumerate(slots) if e > 0]
     if not nonzero:
-        return MurasugiPower(ell, -m), 0
-    shift = (nonzero[-1] + 1) % m
+        return MurasugiPower(ell, -m)
+    # start the slot word just after its last nonzero b-run
+    pieces.append(_unrotate([(1, e) for e in slots[:(nonzero[-1] + 1) % m]]))
     pairs = []
     prev = nonzero[-1] - m
     for j in nonzero:
         pairs.append((j - prev, slots[j]))
         prev = j
-    return MurasugiGeneric(ell, tuple(pairs)), shift
-
-
-def _rotate_generic(form: MurasugiGeneric) -> tuple[MurasugiGeneric, int]:
-    """Canonical pair rotation (lexicographically smallest flattening)."""
     # the flattenings compare like the pair sequences, pairs as tuples
-    best = _least_rotation(list(form.pairs))
-    rotated = form.pairs[best:] + form.pairs[:best]
-    return MurasugiGeneric(form.ell, rotated), best
+    best = _least_rotation(pairs)
+    pieces.append(_unrotate(pairs[:best]))
+    return MurasugiGeneric(ell, tuple(pairs[best:] + pairs[:best]))
 
 
 def murasugi_normal_form(word: BraidWord) -> tuple[MurasugiForm, ConjugacyCertificate]:
@@ -538,44 +544,22 @@ def murasugi_normal_form(word: BraidWord) -> tuple[MurasugiForm, ConjugacyCertif
 def murasugi_from_garside(
     gform: GarsideForm, gcert: ConjugacyCertificate
 ) -> tuple[MurasugiForm, ConjugacyCertificate]:
-    """Convert an already classified Garside form; see murasugi_normal_form.
-
-    The conversion certificate is checked like the Garside one.
-    """
-    word = gcert.source
-    conj = gcert.conjugator
-
+    """Convert an already classified Garside form; see murasugi_normal_form."""
+    pieces: list = [gcert.conjugator]  # the conversion conjugates on top of it
     if isinstance(gform, GarsideA):
         mform: MurasugiForm = MurasugiPower(gform.ell, gform.p)
     elif isinstance(gform, GarsideB):
         if gform.p == 1:
             mform = MurasugiTorus(gform.ell, "ab")
         else:
-            conj = _word([(GEN_A, -1)]) * conj
+            pieces.append(((GEN_A, -1),))
             mform = (MurasugiHalfTwist(gform.ell) if gform.p == 2
                      else MurasugiTorus(gform.ell, "abab"))
     else:
         slots = [x - 2 for pq in gform.pairs for x in pq]
-        conv = [(GEN_B, 1)]
         if isinstance(gform, GarsideD):
             slots.append(gform.p_r - 2)
-            conv += delta_runs(-1)
-        conj = _word(conv) * conj
-        mform, shift = _generic_from_slots(gform.ell + gform.r, slots)
-        if shift:
-            # rotate the raw slot word a^-1 b^e1 a^-1 b^e2 ... left by `shift` slots
-            prefix = _word(run for e in slots[:shift] for run in ((GEN_A, -1), (GEN_B, e)))
-            conj = prefix.inverse() * conj
-        if isinstance(mform, MurasugiGeneric):
-            mform, steps = _rotate_generic(mform)
-            if steps:
-                # rotating k pairs to the back conjugates by their inverse; they
-                # are the first `steps` pairs before the rotation, the last after
-                conj = _word(_pair_runs(mform.pairs[-steps:], -1)).inverse() * conj
-
-    cert = ConjugacyCertificate(conjugator=conj, source=word, target=realize(mform))
-    if not cert.verify():
-        raise InternalInconsistencyError(
-            f"conversion certificate failed for {word.display()!r}"
-        )
-    return mform, cert
+            pieces.append(delta_runs(-1))
+        pieces.append(((GEN_B, 1),))  # the conversion is b, or b D^-1 for case D
+        mform = _generic_from_slots(gform.ell + gform.r, slots, pieces)
+    return mform, _certified(gcert.source, mform, pieces, "conversion")

@@ -231,6 +231,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "bad certificate" in err
 
+    def test_unknown_end_factor_type(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "a^3 b", "--kind", "twist", "--n", "1")
+        data = json.loads(out)
+        data["end_factors"][0] = {"type": "no-such-type", "word": "a^3 b"}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "no-such-type" in err
+
     def test_zero_denominator_genus(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
         data = json.loads(out)
