@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 from fractions import Fraction
 
 from .burau import words_equal
@@ -47,7 +46,7 @@ from .normal_form import (
     garside_normal_form,
     murasugi_normal_form,
 )
-from .words import ParseError, WordLimitError, parse
+from .words import _DIGITS, ParseError, WordLimitError, parse
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -67,8 +66,8 @@ def _interval_json(iv: IntInterval | None):
 
 
 def _form_json(form) -> dict:
-    # the form's fields in declaration order, read shallowly; pair tuples dump as JSON arrays
-    shallow = {f.name: getattr(form, f.name) for f in fields(form)}
+    # the fields its class lists once, in order, read shallowly; pairs dump as arrays
+    shallow = {name: getattr(form, name) for name in form.__dataclass_fields__}
     return {"display": form_display(form), "case": form.case, **shallow}
 
 
@@ -183,24 +182,35 @@ def certificate_json(cert: CobordismCertificate, verified: bool) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is a subclass of int, and a float such as 5.0 compares equal to one
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def certificate_from_json(data: dict) -> CobordismCertificate:
     factors = []
     for f in data["end_factors"]:
         if f["type"] == "torus":
-            factors.append(TorusFactor(f["q"]))
+            factors.append(TorusFactor(_json_int(f["q"], "q")))
         elif f["type"] == "closure":
             factors.append(ClosureFactor(parse(f["word"])))
         else:
             raise ValueError(f"unknown end factor type {f['type']!r}")
     num, den = data["genus"].split("/")
+    # ASCII digits as parse reads them: int() also takes "+", "_", spaces, other digits
+    if not _DIGITS.issuperset(num.removeprefix("-") + den):
+        raise ValueError(f"genus {data['genus']!r} is not a fraction of base-10 integers")
     return CobordismCertificate(
         kind=data["kind"],
         start=parse(data["start"]),
         end=ConnectedSum(tuple(factors)),
         moves=tuple(
-            SaddleMove(m["kind"], m["position"], m["generator"]) for m in data["moves"]
+            SaddleMove(m["kind"], _json_int(m["position"], "position"), m["generator"])
+            for m in data["moves"]
         ),
-        euler_char=data["euler_char"],
+        euler_char=_json_int(data["euler_char"], "euler_char"),
         genus=Fraction(int(num), int(den)),
     )
 

@@ -31,12 +31,11 @@ from .normal_form import (
     MurasugiForm,
     MurasugiGeneric,
     MurasugiTorus,
-    delta_exponent,
     garside_normal_form,
     murasugi_from_garside,
-    tail_runs,
+    realize,
 )
-from .words import KNOT_PERMS, BraidWord, delta_runs, runs_permutation
+from .words import BraidWord
 
 
 class NotAKnotError(ValueError):
@@ -64,18 +63,27 @@ class IntInterval:
 
 
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
-    # this rejects cases A and power, the half twist and case B with p = 2,
-    # so the knot invariants below see only B, C, D, torus and generic forms;
-    # D^2 is a pure braid, so the closure's components depend on k mod 2 only
-    perm = runs_permutation((*delta_runs(delta_exponent(form) % 2), *tail_runs(form)))
-    if perm not in KNOT_PERMS:
+    # this rejects cases A and power, the half twist and case B with p = 2, so the
+    # knot invariants below see only B, C, D, torus and generic forms.  The realized
+    # word decides once per form object; kept on the form, the answer dies with it
+    attrs = vars(form)
+    if "_knot" not in attrs:
+        attrs["_knot"] = realize(form).is_knot()
+    if not attrs["_knot"]:
         raise NotAKnotError(f"closure of {form} is not a knot")
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise InternalInconsistencyError(f"{what} = {value} is not an integer")
-    return int(value)
+def _halved(total: int) -> int:
+    # each sum halved below is even on a knot closure
+    if total % 2:
+        raise InternalInconsistencyError(f"upsilon has the odd half-sum {total}/2")
+    return total // 2
+
+
+def _garside_total(form: GarsideC | GarsideD) -> int:
+    """Sum(p + q), plus p_r + 3 for case D: upsilon = r - 2l - total/2 on C and D."""
+    total = sum(p + q for p, q in form.pairs)
+    return total + form.p_r + 3 if isinstance(form, GarsideD) else total
 
 
 def _torus_family(form: GarsideB | MurasugiTorus) -> tuple[int, int]:
@@ -101,11 +109,10 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
     """The concordance invariant upsilon of the knot closure."""
     _require_knot(form)
     if isinstance(form, MurasugiGeneric):
-        val = Fraction(sum(p - q for p, q in form.pairs), 2) - 2 * form.ell
-        return _as_int(val, "upsilon")
+        return _halved(sum(p - q for p, q in form.pairs)) - 2 * form.ell
     if isinstance(form, (GarsideB, MurasugiTorus)):
         return _torus_upsilon(*_torus_family(form))
-    return _as_int(homogenized_upsilon(form), "upsilon")
+    return form.r - 2 * form.ell - _halved(_garside_total(form))
 
 
 def signature(form: GarsideForm | MurasugiForm) -> int:
@@ -135,7 +142,7 @@ def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
 
 def _positive_genus(form) -> int:
     # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
-    wr = 3 * delta_exponent(form) + sum(e for _, e in tail_runs(form))
+    wr = realize(form).writhe()
     if wr % 2:
         raise InternalInconsistencyError("odd writhe on a knot closure")
     return (wr - 2) // 2
@@ -212,7 +219,7 @@ def fdtc(form: GarsideForm) -> Fraction:
     if isinstance(form, GarsideA):
         return Fraction(form.ell)
     if isinstance(form, GarsideB):
-        return Fraction(form.p + 1, 6) + form.ell
+        return Fraction(form.p + 1 + 6 * form.ell, 6)
     if isinstance(form, (GarsideC, GarsideD)):
         return Fraction(form.r + form.ell)
     raise TypeError(f"fdtc expects a Garside form, got {form!r}")
@@ -221,15 +228,11 @@ def fdtc(form: GarsideForm) -> Fraction:
 def homogenized_upsilon(form: GarsideForm) -> Fraction:
     """Homogenized upsilon quasimorphism, exact rational."""
     if isinstance(form, GarsideA):
-        return -Fraction(form.p, 2) - 2 * form.ell
+        return Fraction(-form.p - 4 * form.ell, 2)
     if isinstance(form, GarsideB):
-        return -Fraction(form.p + 1, 3) - 2 * form.ell
-    if isinstance(form, GarsideC):
-        total = sum(p + q for p, q in form.pairs)
-        return -Fraction(total, 2) + form.r - 2 * form.ell
-    if isinstance(form, GarsideD):
-        total = sum(p + q for p, q in form.pairs) + form.p_r
-        return -Fraction(total, 2) + form.r - 2 * form.ell - Fraction(3, 2)
+        return Fraction(-form.p - 1 - 6 * form.ell, 3)
+    if isinstance(form, (GarsideC, GarsideD)):
+        return Fraction(2 * form.r - 4 * form.ell - _garside_total(form), 2)
     raise TypeError(f"homogenized_upsilon expects a Garside form, got {form!r}")
 
 

@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .burau import conjugates_to, words_equal
-from .words import GEN_A, GEN_B, BraidWord, _Twisted, _word, delta_power, delta_runs
+from .words import GEN_A, GEN_B, BraidWord, _Twisted, _syllable, _word, delta_power, delta_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -192,13 +192,13 @@ def _pair_runs(pairs: tuple[tuple[int, int], ...], sign: int) -> list[tuple[str,
     return [run for p, q in pairs for run in ((GEN_A, sign * p), (GEN_B, q))]
 
 
-#: the runs each normal-form shape displays after its D^k prefix
+#: the runs each normal-form shape displays after its D^k prefix (none for p = 0)
 _TAIL_RUNS = {
-    GarsideA: lambda f: [(GEN_A, f.p)],
+    GarsideA: lambda f: [(GEN_A, f.p)] if f.p else [],
     GarsideB: lambda f: [(GEN_A, f.p), (GEN_B, 1)],
     GarsideC: lambda f: _pair_runs(f.pairs, 1),
     GarsideD: lambda f: _pair_runs(f.pairs, 1) + [(GEN_A, f.p_r)],
-    MurasugiPower: lambda f: [(GEN_A, f.p)],
+    MurasugiPower: lambda f: [(GEN_A, f.p)] if f.p else [],
     MurasugiHalfTwist: lambda f: [],
     MurasugiTorus: lambda f: [(GEN_A, 1), (GEN_B, 1)] * (1 if f.variant == "ab" else 2),
     MurasugiGeneric: lambda f: _pair_runs(f.pairs, -1),
@@ -213,22 +213,23 @@ def delta_exponent(form: GarsideForm | MurasugiForm) -> int:
 
 
 def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
-    """The runs the form displays after its D^k prefix, k = delta_exponent(form)."""
+    """The runs the form displays after its D^k prefix, k = delta_exponent(form);
+    they alternate generators and have nonzero exponents, so they need no merge."""
     return _TAIL_RUNS[type(form)](form)
 
 
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     """The braid word displayed by a normal form, its D^k kept as the
     word's delta; its syllables are those of the expanded word."""
-    k, tail = delta_exponent(form), _word(tail_runs(form))
-    return _Twisted(k, tail.syllables) if k else tail
+    k, tail = delta_exponent(form), tuple(map(_syllable, tail_runs(form)))
+    return _Twisted(k, tail) if k else BraidWord(tail)
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:
     """Input-grammar rendering, D-power first, e.g. 'D^-3 a^7'."""
     k = delta_exponent(form)
     parts = [] if k == 0 else ["D" if k == 1 else f"D^{k}"]
-    body = _word(tail_runs(form)).display()
+    body = BraidWord(tuple(map(_syllable, tail_runs(form)))).display()
     if body:
         parts.append(body)
     return " ".join(parts)

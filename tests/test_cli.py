@@ -241,6 +241,23 @@ class TestVerify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "no-such-type" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", 5.0), ("position", True), ("euler_char", -2.0), ("genus", "1_0/1_0"),
+        ("genus", "+1/1"), ("genus", " 1/1"), ("genus", "\u0661/1"),
+    ])
+    def test_non_integer_number(self, capsys, tmp_path, field, value):
+        # each value equals the certificate's own under == (q 5, position 1,
+        # euler_char -2) or int() (genus 1/1), so only its type is wrong
+        _, out, _ = run(capsys, "certify", "a^2 b^2 a^3 b^3", "--kind", "torus-sum")
+        data = json.loads(out)
+        owner = {"q": data["end_factors"][0], "position": data["moves"][0]}.get(field, data)
+        owner[field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "ValueError" in err
+
     def test_zero_denominator_genus(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
         data = json.loads(out)

@@ -30,12 +30,13 @@ from braid3.normal_form import (
     MurasugiPower,
     MurasugiTorus,
     garside_normal_form,
+    murasugi_from_garside,
     murasugi_normal_form,
     realize,
 )
 from braid3.words import BraidWord, delta_power, parse
 
-from conftest import random_word
+from conftest import random_word, reduced_words
 
 #: the invariants defined on knot closures only
 KNOT_ONLY_INVARIANTS = (
@@ -305,6 +306,21 @@ class TestQuasimorphisms:
             if isinstance(form, (GarsideC, GarsideD)) and w.is_knot():
                 assert homogenized_upsilon(form) == upsilon(form)
 
+    def test_integer_upsilon_exhaustive(self):
+        # the integer expression of each case against the quasimorphism (cases
+        # C and D) and against the Murasugi side, on every knot up to length 7
+        knots = 0
+        for w in reduced_words(7):
+            if not w.is_knot():
+                continue
+            knots += 1
+            g, gcert = garside_normal_form(w)
+            m, _ = murasugi_from_garside(g, gcert)
+            if isinstance(g, (GarsideC, GarsideD)):
+                assert upsilon(g) == homogenized_upsilon(g), w.display()
+            assert upsilon(g) == upsilon(m), w.display()
+        assert knots == 720
+
     def test_fdtc_identity_with_writhe(self, rng):
         for _ in range(300):
             w = random_word(rng, rng.randrange(0, 14))
@@ -388,6 +404,32 @@ class TestReport:
         assert r.upsilon is None and r.signature is None
         assert r.fdtc == 0
         assert r.flags["upsilon"] == "absent"
+
+    def test_one_knot_decision_per_form(self, monkeypatch):
+        # the knot-only invariants ask the realized form word is_knot; count those calls
+        decided = []
+        is_knot = BraidWord.is_knot
+
+        def counted(word):
+            decided.append(word)
+            return is_knot(word)
+
+        monkeypatch.setattr(BraidWord, "is_knot", counted)
+        r = build_report(parse("a^2 b^2 a^3 b^3"))
+        assert r.is_knot
+        assert decided == [realize(r.garside), realize(r.murasugi)]
+        for form in (r.garside, r.murasugi):
+            for invariant in KNOT_ONLY_INVARIANTS:
+                invariant(form)
+        assert len(decided) == 2
+        # the decision kept on a form leaves its equality and hash alone
+        fresh = garside(parse("a^2 b^2 a^3 b^3"))
+        assert r.garside == fresh and hash(r.garside) == hash(fresh)
+        link = GarsideA(0, 2)
+        for _ in range(2):
+            with pytest.raises(NotAKnotError):
+                upsilon(link)
+        assert len(decided) == 3
 
     def test_unknot_closure(self):
         r = build_report(parse("A b"))
