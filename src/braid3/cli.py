@@ -11,8 +11,8 @@ Subcommands
 
 Exit codes: 0 success, 1 a verification answered false, 2 parse error,
 unreadable certificate or batch input, unwritable output (a closed pipe
-too) or invalid BRAID3_MAX_WORD_LEN, 3 precondition failure, 4 internal
-inconsistency.
+too), invalid BRAID3_MAX_WORD_LEN or a certificate start word longer than
+it, 3 precondition failure, 4 internal inconsistency.
 The environment variable BRAID3_MAX_WORD_LEN (default 10^6, a
 non-negative integer) bounds accepted input length.
 """
@@ -46,7 +46,7 @@ from .normal_form import (
     garside_normal_form,
     murasugi_normal_form,
 )
-from .words import _DIGITS, ParseError, WordLimitError, parse
+from .words import _DIGITS, ParseError, WordLimitError, max_word_len, parse
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -222,6 +222,12 @@ def cmd_certify(args) -> int:
         cert = torus_sum_cobordism(word)
     else:
         cert = twist_trick(word, args.n)
+    # verify --cert parses the start word back, under the same limit
+    limit = max_word_len()
+    if len(cert.start) > limit:
+        print(f"certificate start word has {len(cert.start)} letters, "
+              f"more than BRAID3_MAX_WORD_LEN={limit}", file=sys.stderr)
+        return EXIT_PARSE
     print(json.dumps(certificate_json(cert, True)))
     return EXIT_OK
 

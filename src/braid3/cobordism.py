@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import upsilon
-from .normal_form import (
-    GarsideB,
-    GarsideC,
-    GarsideD,
-    GarsideForm,
-    InternalInconsistencyError,
-    garside_normal_form,
-    realize,
-)
+from .normal_form import InternalInconsistencyError, garside_normal_form
 from .words import GEN_A, GEN_B, BraidWord, _word
 
 
@@ -266,84 +258,3 @@ def verify(cert: CobordismCertificate) -> VerificationResult:
             reasons.append("upsilon gap exceeds genus")
 
     return VerificationResult(not reasons, tuple(reasons))
-
-
-@dataclass(frozen=True)
-class AlternatingGenusBounds:
-    """Bounds on the minimal genus of a cobordism to an alternating knot."""
-
-    lower: Fraction
-    upper: Fraction
-    lower_knot_bound: int  # ceiling of `lower`; cobordism genus is integral
-    certificate: CobordismCertificate
-
-
-def _witness_word(form: GarsideForm) -> BraidWord:
-    """A positive braid word conjugate to the form with the minimal number
-    of switch pairs (r + l for cases C/D, l + 1 for the torus case)."""
-    runs: list[tuple[str, int]] = []
-    if isinstance(form, GarsideB):
-        runs = [(GEN_A, 2 * form.ell + form.p), (GEN_B, 1)]
-        runs += [(GEN_A, 2), (GEN_B, 2)] * form.ell
-    elif isinstance(form, GarsideC):
-        (p1, q1), rest = form.pairs[0], form.pairs[1:]
-        if form.ell == 0:
-            for p, q in form.pairs:
-                runs += [(GEN_A, p), (GEN_B, q)]
-        else:
-            runs = [(GEN_A, 2 * form.ell), (GEN_B, 1)]
-            runs += [(GEN_A, 2), (GEN_B, 2)] * (form.ell - 1)
-            runs += [(GEN_A, p1 + 2), (GEN_B, q1)]
-            for p, q in rest:
-                runs += [(GEN_A, p), (GEN_B, q)]
-            runs[-1] = (GEN_B, runs[-1][1] + 1)
-    else:  # GarsideD; the caller admits cases B, C and D only
-        if form.ell == 0:
-            if not form.pairs:
-                # both exponent bumps land on the single a-run
-                runs = [(GEN_A, form.p_r + 2), (GEN_B, 1)]
-            else:
-                for p, q in form.pairs:
-                    runs += [(GEN_A, p), (GEN_B, q)]
-                runs[0] = (GEN_A, runs[0][1] + 1)
-                runs += [(GEN_A, form.p_r + 1), (GEN_B, 1)]
-        else:
-            runs = [(GEN_A, form.p_r + 2), (GEN_B, 1)]
-            runs += [(GEN_A, 4), (GEN_B, 1)] * (form.ell - 1)
-            runs += [(GEN_A, 3), (GEN_B, 1)]
-            if form.pairs:
-                (p1, q1), rest = form.pairs[0], form.pairs[1:]
-                runs += [(GEN_A, p1 + form.ell + 1), (GEN_B, q1)]
-                for p, q in rest:
-                    runs += [(GEN_A, p), (GEN_B, q)]
-            else:
-                runs += [(GEN_A, form.ell + 1)]
-    return _word(runs)
-
-
-def alternating_distance_genus_bounds(form: GarsideForm) -> AlternatingGenusBounds:
-    """Sandwich the cobordism distance to the set of alternating knots.
-
-    Works on positive knot-closure forms.  The upper bound comes from the
-    torus-sum cobordism applied to a minimal-switch positive word for the
-    same knot; the lower bound is half the (exact) alternation number.
-    """
-    if not (isinstance(form, (GarsideB, GarsideC, GarsideD)) and form.ell >= 0):
-        raise PreconditionError("bounds need a positive-braid form")
-    witness = _witness_word(form)
-    check, _ = garside_normal_form(witness)
-    canonical, _ = garside_normal_form(realize(form))
-    if check != canonical:
-        raise InternalInconsistencyError(
-            f"witness word classifies to {check}, not {canonical}"
-        )
-    cert = torus_sum_cobordism(witness)  # raises PreconditionError on a link
-    r = len(_alternating_pairs(cert.start))
-    lower = Fraction(r - 1, 2)
-    upper = cert.genus
-    return AlternatingGenusBounds(
-        lower=lower,
-        upper=upper,
-        lower_knot_bound=-((-lower.numerator) // lower.denominator),
-        certificate=cert,
-    )

@@ -43,8 +43,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .burau import conjugates_to, words_equal
-from .words import GEN_A, GEN_B, BraidWord, _Twisted, _syllable, _word, delta_power, delta_runs
+from .burau import conjugates_to
+from .words import GEN_A, GEN_B, BraidWord, _Twisted, _syllable, _word, delta_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -253,16 +253,12 @@ class ConjugacyCertificate:
 
 @dataclass(frozen=True)
 class DeltaSplit:
-    """Witness that source = D^(2k) * positive_part with positive_part a
-    positive word.  k is positive only when the source's own leading D
-    power outweighs its inverse letters."""
+    """A word as D^(2k) * positive_part with positive_part a positive word.
+    k is positive only when the word's own leading D power outweighs its
+    inverse letters."""
 
     k: int
     positive_part: BraidWord
-    source: BraidWord
-
-    def verify(self) -> bool:
-        return words_equal(self.source, delta_power(2 * self.k) * self.positive_part)
 
 
 #: generator <-> bit, so that exchanging a and b (tau) is an XOR with 1
@@ -301,7 +297,7 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             rel.append((x ^ 1, 1))
     e, flip = word.delta - m, m & 1
     runs = list(delta_runs(e & 1)) + [(_GEN[x ^ flip], n) for x, n in rel]
-    return DeltaSplit(k=e >> 1, positive_part=_word(runs), source=word)
+    return DeltaSplit(k=e >> 1, positive_part=_word(runs))
 
 
 # ---------------------------------------------------------------------------

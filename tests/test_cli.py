@@ -400,6 +400,22 @@ class TestWordLengthGuard:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
 
+    def test_certificate_start_past_the_limit(self, capsys, monkeypatch):
+        # the start a b^1200001 could not be read back by verify --cert
+        monkeypatch.delenv("BRAID3_MAX_WORD_LEN", raising=False)
+        code, out, err = run(capsys, "certify", "a b", "--kind", "twist", "--n", "600000")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
+
+    def test_certificate_start_within_a_raised_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "1200003")
+        code, out, _ = run(capsys, "certify", "a b", "--kind", "twist", "--n", "600000")
+        assert code == 0
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 0 and json.loads(out)["verified"] is True
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -430,3 +446,17 @@ class TestModuleEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err.splitlines() == ["cannot write stdout: [Errno 32] Broken pipe"]
+
+
+class TestPublicNames:
+    def test_all_resolves_and_star_imports(self):
+        namespace = {}
+        exec("from braid3 import *", namespace)
+        for name in braid3.__all__:
+            assert namespace[name] is getattr(braid3, name)
+
+    def test_removed_names_are_gone(self):
+        for name in ("alternating_distance_genus_bounds", "AlternatingGenusBounds", "_witness_word"):
+            assert not hasattr(braid3, name) and not hasattr(braid3.cobordism, name)
+        assert set(braid3.DeltaSplit.__dataclass_fields__) == {"k", "positive_part"}
+        assert not hasattr(braid3.DeltaSplit, "verify")

@@ -10,20 +10,20 @@ from braid3.cobordism import (
     PreconditionError,
     SaddleMove,
     TorusFactor,
-    alternating_distance_genus_bounds,
     torus_sum_cobordism,
     twist_trick,
     verify,
 )
-from braid3.invariants import genus_tau, upsilon
+from braid3.invariants import genus_tau, minimal_positive_switches, upsilon
 from braid3.normal_form import (
     GarsideB,
     GarsideC,
     GarsideD,
+    GarsideForm,
     garside_normal_form,
     realize,
 )
-from braid3.words import BraidWord, parse
+from braid3.words import GEN_A, GEN_B, BraidWord, _word, parse
 
 from conftest import random_word
 
@@ -195,34 +195,81 @@ class TestSlopeBoundReproduction:
                 assert ups == -g + r_word - 1
 
 
+def _witness_word(form: GarsideForm) -> BraidWord:
+    """A positive braid word conjugate to the form with the minimal number
+    of switch pairs (r + l for cases C/D, l + 1 for the torus case)."""
+    runs: list[tuple[str, int]] = []
+    if isinstance(form, GarsideB):
+        runs = [(GEN_A, 2 * form.ell + form.p), (GEN_B, 1)]
+        runs += [(GEN_A, 2), (GEN_B, 2)] * form.ell
+    elif isinstance(form, GarsideC):
+        (p1, q1), rest = form.pairs[0], form.pairs[1:]
+        if form.ell == 0:
+            for p, q in form.pairs:
+                runs += [(GEN_A, p), (GEN_B, q)]
+        else:
+            runs = [(GEN_A, 2 * form.ell), (GEN_B, 1)]
+            runs += [(GEN_A, 2), (GEN_B, 2)] * (form.ell - 1)
+            runs += [(GEN_A, p1 + 2), (GEN_B, q1)]
+            for p, q in rest:
+                runs += [(GEN_A, p), (GEN_B, q)]
+            runs[-1] = (GEN_B, runs[-1][1] + 1)
+    else:  # GarsideD; the caller admits cases B, C and D only
+        if form.ell == 0:
+            if not form.pairs:
+                # both exponent bumps land on the single a-run
+                runs = [(GEN_A, form.p_r + 2), (GEN_B, 1)]
+            else:
+                for p, q in form.pairs:
+                    runs += [(GEN_A, p), (GEN_B, q)]
+                runs[0] = (GEN_A, runs[0][1] + 1)
+                runs += [(GEN_A, form.p_r + 1), (GEN_B, 1)]
+        else:
+            runs = [(GEN_A, form.p_r + 2), (GEN_B, 1)]
+            runs += [(GEN_A, 4), (GEN_B, 1)] * (form.ell - 1)
+            runs += [(GEN_A, 3), (GEN_B, 1)]
+            if form.pairs:
+                (p1, q1), rest = form.pairs[0], form.pairs[1:]
+                runs += [(GEN_A, p1 + form.ell + 1), (GEN_B, q1)]
+                for p, q in rest:
+                    runs += [(GEN_A, p), (GEN_B, q)]
+            else:
+                runs += [(GEN_A, form.ell + 1)]
+    return _word(runs)
+
+
 class TestAlternatingGenusBounds:
+    """minimal_positive_switches is attained: a positive word with that many
+    a/b pairs closes to the form's knot, and its torus-sum certificate, a
+    cobordism to alternating T(2, odd) sums, verifies with genus at least
+    (pairs - 1) / 2."""
+
+    def witness_certificate(self, form):
+        witness = _witness_word(form)
+        canonical, _ = garside_normal_form(realize(form))
+        assert garside_normal_form(witness)[0] == canonical
+        cert = torus_sum_cobordism(witness)
+        pairs = minimal_positive_switches(form)
+        assert len(cert.start.syllables) == 2 * pairs
+        assert Fraction(pairs - 1, 2) <= cert.genus
+        assert verify(cert)
+        return cert
+
     def test_granny(self):
-        bounds = alternating_distance_genus_bounds(GarsideC(0, ((3, 3),)))
-        assert (bounds.lower, bounds.upper) == (0, 0)
-        assert bounds.lower_knot_bound == 0
+        assert self.witness_certificate(GarsideC(0, ((3, 3),))).genus == 0
 
     def test_parity_repair_example(self):
-        bounds = alternating_distance_genus_bounds(GarsideC(0, ((2, 2), (3, 3))))
-        assert (bounds.lower, bounds.upper) == (Fraction(1, 2), 1)
-        assert bounds.lower_knot_bound == 1
+        assert self.witness_certificate(GarsideC(0, ((2, 2), (3, 3)))).genus == 1
 
     def test_torus_family_witnesses(self):
         for ell in range(0, 4):
             for p in (1, 3):
-                bounds = alternating_distance_genus_bounds(GarsideB(ell, p))
-                assert bounds.lower == Fraction(ell, 2)
-                assert bounds.lower <= bounds.upper <= ell if ell else bounds.upper == 0
+                assert self.witness_certificate(GarsideB(ell, p)).genus <= ell
 
     def test_witnesses_agree_across_sweep(self):
+        checked = 0
         for form in positive_forms(max_r=2, max_exp=4, max_ell=2):
-            if not realize(form).is_knot():
-                continue
-            bounds = alternating_distance_genus_bounds(form)
-            width = form.r + form.ell
-            assert bounds.lower == Fraction(width - 1, 2)
-            assert bounds.upper >= bounds.lower
-            assert verify(bounds.certificate)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(PreconditionError):
-            alternating_distance_genus_bounds(GarsideD(-2, (), 7))
+            if realize(form).is_knot():
+                self.witness_certificate(form)
+                checked += 1
+        assert checked == 171

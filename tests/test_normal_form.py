@@ -40,21 +40,23 @@ class TestDeltaPositiveSplit:
         w = parse("a^2 b^3 a")
         split = delta_positive_split(w)
         assert split.k == 0 and split.positive_part == w
-        assert split.verify()
+        assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_single_inverse_letter(self):
         # A = D^-1 ab = D^-2 aba ab: an odd count folds one D = aba into P
-        split = delta_positive_split(parse("A"))
+        w = parse("A")
+        split = delta_positive_split(w)
         assert split.k == -1
         assert split.positive_part == parse("a b a^2 b")
-        assert split.verify()
+        assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_mixed_word(self):
         # five inverse letters, one D^-1 each, and one D folded back
-        split = delta_positive_split(parse("a^3 B a^-3 B"))
+        w = parse("a^3 B a^-3 B")
+        split = delta_positive_split(w)
         assert split.k == -3
         assert split.positive_part == parse("a b a b^4 a b a^2 b^2 a b a")
-        assert split.verify()
+        assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_exact_letter_count(self, rng):
         # 2 letters per inverse letter, plus 3 when their count is odd
@@ -65,7 +67,7 @@ class TestDeltaPositiveSplit:
             split = delta_positive_split(w)
             assert len(split.positive_part) == positive + 2 * inverse + 3 * (inverse % 2)
             assert split.k == -((inverse + 1) // 2)
-            assert split.verify()
+            assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_leading_delta_passes_through(self, rng):
         # D^k is already in front: e = k - (inverse letters), P as without it
@@ -74,11 +76,12 @@ class TestDeltaPositiveSplit:
             tail = random_word(rng, rng.randrange(0, 20))
             inverse = sum(-s.exp for s in tail if s.exp < 0)
             positive = sum(s.exp for s in tail if s.exp > 0)
-            split = delta_positive_split(parse(f"D^{k} {tail.display()}" if k else tail.display()))
+            w = parse(f"D^{k} {tail.display()}" if k else tail.display())
+            split = delta_positive_split(w)
             e = k - inverse
             assert split.k == e // 2
             assert len(split.positive_part) == positive + 2 * inverse + 3 * (e % 2)
-            assert split.verify()
+            assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_split_letters_do_not_grow_with_delta(self, monkeypatch):
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", str(3 * 10**6 + 1))
