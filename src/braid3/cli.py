@@ -67,7 +67,7 @@ def _interval_json(iv: IntInterval | None):
 
 def _form_json(form) -> dict:
     # the fields its class lists once, in order, read shallowly; pairs dump as arrays
-    shallow = {name: getattr(form, name) for name in form.__dataclass_fields__}
+    shallow = {name: getattr(form, name) for name in form._fields}
     return {"display": form_display(form), "case": form.case, **shallow}
 
 

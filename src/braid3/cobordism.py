@@ -14,12 +14,11 @@ certificate is rejected with a reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import upsilon
 from .normal_form import InternalInconsistencyError, garside_normal_form
-from .words import GEN_A, GEN_B, BraidWord, _word
+from .words import GEN_A, GEN_B, BraidWord, Value, _word
 
 
 class PreconditionError(ValueError):
@@ -31,28 +30,22 @@ DELETE = "delete_generator"
 SPLIT = "split_to_connected_sum"
 
 
-@dataclass(frozen=True)
-class SaddleMove:
+class SaddleMove(Value):
     """One 1-handle attachment; every kind costs Euler characteristic 1."""
 
-    kind: str
-    position: int
-    generator: str
-
-    def __post_init__(self):
-        if self.kind not in (INSERT, DELETE, SPLIT):
-            raise ValueError(f"unknown saddle kind {self.kind}")
+    def __init__(self, kind: str, position: int, generator: str):
+        if kind not in (INSERT, DELETE, SPLIT):
+            raise ValueError(f"unknown saddle kind {kind}")
+        self.__dict__.update(kind=kind, position=position, generator=generator)
 
 
-@dataclass(frozen=True)
-class TorusFactor:
+class TorusFactor(Value):
     """T(2, q) for odd q >= 1; q = 1 is the unknot."""
 
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1 or self.q % 2 == 0:
+    def __init__(self, q: int):
+        if q < 1 or q % 2 == 0:
             raise ValueError("torus factor parameter must be odd and positive")
+        self.__dict__["q"] = q
 
     def upsilon(self) -> int:
         return -(self.q - 1) // 2
@@ -61,11 +54,11 @@ class TorusFactor:
         return f"T(2,{self.q})"
 
 
-@dataclass(frozen=True)
-class ClosureFactor:
+class ClosureFactor(Value):
     """The closure of an explicit braid word (must be a knot)."""
 
-    word: BraidWord
+    def __init__(self, word: BraidWord):
+        self.__dict__["word"] = word
 
     def upsilon(self) -> int:
         form, _ = garside_normal_form(self.word)
@@ -75,11 +68,11 @@ class ClosureFactor:
         return f"closure({self.word.display()})"
 
 
-@dataclass(frozen=True)
-class ConnectedSum:
+class ConnectedSum(Value):
     """Connected sum of knot factors; upsilon adds over factors."""
 
-    factors: tuple
+    def __init__(self, factors: tuple):
+        self.__dict__["factors"] = factors
 
     def upsilon(self) -> int:
         return sum(f.upsilon() for f in self.factors)
@@ -93,20 +86,19 @@ class ConnectedSum:
         return " # ".join(f.display() for f in self.factors)
 
 
-@dataclass(frozen=True)
-class CobordismCertificate:
-    kind: str  # "torus-sum" | "twist"
-    start: BraidWord
-    end: ConnectedSum
-    moves: tuple[SaddleMove, ...]
-    euler_char: int
-    genus: Fraction
+class CobordismCertificate(Value):
+    def __init__(
+        self, kind: str, start: BraidWord, end: ConnectedSum,  # kind "torus-sum" | "twist"
+        moves: tuple[SaddleMove, ...], euler_char: int, genus: Fraction,
+    ):
+        self.__dict__.update(
+            kind=kind, start=start, end=end, moves=moves, euler_char=euler_char, genus=genus,
+        )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reasons: tuple[str, ...] = ()
+class VerificationResult(Value):
+    def __init__(self, ok: bool, reasons: tuple[str, ...] = ()):
+        self.__dict__.update(ok=ok, reasons=reasons)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -17,7 +17,6 @@ Sign conventions, fixed across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .normal_form import (
@@ -32,26 +31,25 @@ from .normal_form import (
     MurasugiGeneric,
     MurasugiTorus,
     garside_normal_form,
+    delta_exponent,
     murasugi_from_garside,
     realize,
+    tail_runs,
 )
-from .words import BraidWord
+from .words import BraidWord, Value
 
 
 class NotAKnotError(ValueError):
     """The closure of the given braid is a link, not a knot."""
 
 
-@dataclass(frozen=True)
-class IntInterval:
+class IntInterval(Value):
     """Integer interval [lo, hi]; exact when the endpoints agree."""
 
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
             raise ValueError("empty interval")
+        self.__dict__.update(lo=lo, hi=hi)
 
     @property
     def exact(self) -> bool:
@@ -141,8 +139,9 @@ def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
 
 
 def _positive_genus(form) -> int:
-    # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
-    wr = realize(form).writhe()
+    # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2,
+    # with writhe 3k + (tail exponents) for the displayed word D^k tail
+    wr = 3 * delta_exponent(form) + sum(e for _, e in tail_runs(form))
     if wr % 2:
         raise InternalInconsistencyError("odd writhe on a knot closure")
     return (wr - 2) // 2
@@ -248,8 +247,7 @@ def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | No
     return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Value):
     """Everything the pipeline can say about one braid word.
 
     None means no closed form applies; on a link every knot invariant is
@@ -259,26 +257,25 @@ class InvariantReport:
     value.
     """
 
-    word: BraidWord
-    garside: GarsideForm
-    murasugi: MurasugiForm
-    garside_certificate: ConjugacyCertificate
-    murasugi_certificate: ConjugacyCertificate
-    components: int
-    is_knot: bool
-    fdtc: Fraction
-    homogenized_upsilon: Fraction
-    upsilon: int | None = None
-    signature: int | None = None
-    rasmussen_s: int | None = None
-    genus3: int | None = None
-    genus4: int | None = None
-    tau: int | None = None
-    alt: IntInterval | None = None
-    minimal_r: int | None = None
-    ballinger_t: int | None = None
-    nonorientable_g4_lower: int | None = None
-    flags: dict | None = None
+    def __init__(
+        self, word: BraidWord, garside: GarsideForm, murasugi: MurasugiForm,
+        garside_certificate: ConjugacyCertificate, murasugi_certificate: ConjugacyCertificate,
+        components: int, is_knot: bool, fdtc: Fraction, homogenized_upsilon: Fraction,
+        upsilon: int | None = None, signature: int | None = None,
+        rasmussen_s: int | None = None, genus3: int | None = None, genus4: int | None = None,
+        tau: int | None = None, alt: IntInterval | None = None, minimal_r: int | None = None,
+        ballinger_t: int | None = None, nonorientable_g4_lower: int | None = None,
+        flags: dict | None = None,
+    ):
+        self.__dict__.update(
+            word=word, garside=garside, murasugi=murasugi,
+            garside_certificate=garside_certificate, murasugi_certificate=murasugi_certificate,
+            components=components, is_knot=is_knot, fdtc=fdtc,
+            homogenized_upsilon=homogenized_upsilon, upsilon=upsilon, signature=signature,
+            rasmussen_s=rasmussen_s, genus3=genus3, genus4=genus4, tau=tau, alt=alt,
+            minimal_r=minimal_r, ballinger_t=ballinger_t,
+            nonorientable_g4_lower=nonorientable_g4_lower, flags=flags,
+        )
 
 
 def _flag(value) -> str:

@@ -41,10 +41,11 @@ circular substrings", IPL 1980).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .burau import conjugates_to
-from .words import GEN_A, GEN_B, BraidWord, _Twisted, _syllable, _word, delta_runs
+from .words import (
+    GEN_A, GEN_B, BraidWord, Value, _Twisted, _syllable, _word, delta_runs, display_runs,
+)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -55,70 +56,57 @@ class InternalInconsistencyError(RuntimeError):
 # Garside forms
 
 
-@dataclass(frozen=True)
-class GarsideA:
+class GarsideA(Value):
     """D^(2l) a^p with p >= 0; closures are links, never knots."""
-
-    ell: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("case A needs p >= 0")
 
     case = "A"
 
+    def __init__(self, ell: int, p: int):
+        if p < 0:
+            raise ValueError("case A needs p >= 0")
+        self.__dict__.update(ell=ell, p=p)
 
-@dataclass(frozen=True)
-class GarsideB:
+
+class GarsideB(Value):
     """D^(2l) a^p b with p in {1, 2, 3}; the torus-closure cases."""
-
-    ell: int
-    p: int
-
-    def __post_init__(self):
-        if self.p not in (1, 2, 3):
-            raise ValueError("case B needs p in {1,2,3}")
 
     case = "B"
 
+    def __init__(self, ell: int, p: int):
+        if p not in (1, 2, 3):
+            raise ValueError("case B needs p in {1,2,3}")
+        self.__dict__.update(ell=ell, p=p)
 
-@dataclass(frozen=True)
-class GarsideC:
+
+class GarsideC(Value):
     """D^(2l) a^p1 b^q1 ... a^pr b^qr with every exponent >= 2."""
 
-    ell: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("case C needs r >= 1")
-        if any(p < 2 or q < 2 for p, q in self.pairs):
-            raise ValueError("case C needs all exponents >= 2")
-
     case = "C"
+
+    def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...]):
+        if not pairs:
+            raise ValueError("case C needs r >= 1")
+        if any(p < 2 or q < 2 for p, q in pairs):
+            raise ValueError("case C needs all exponents >= 2")
+        self.__dict__.update(ell=ell, pairs=pairs)
 
     @property
     def r(self) -> int:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class GarsideD:
+class GarsideD(Value):
     """D^(2l+1) a^p1 b^q1 ... a^p_{r-1} b^q_{r-1} a^p_r, exponents >= 2.
 
     r counts the a-runs, so r = len(pairs) + 1.
     """
 
-    ell: int
-    pairs: tuple[tuple[int, int], ...]
-    p_r: int
-
-    def __post_init__(self):
-        if self.p_r < 2 or any(p < 2 or q < 2 for p, q in self.pairs):
-            raise ValueError("case D needs all exponents >= 2")
-
     case = "D"
+
+    def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...], p_r: int):
+        if p_r < 2 or any(p < 2 or q < 2 for p, q in pairs):
+            raise ValueError("case D needs all exponents >= 2")
+        self.__dict__.update(ell=ell, pairs=pairs, p_r=p_r)
 
     @property
     def r(self) -> int:
@@ -132,53 +120,46 @@ GarsideForm = GarsideA | GarsideB | GarsideC | GarsideD
 # Murasugi forms
 
 
-@dataclass(frozen=True)
-class MurasugiPower:
+class MurasugiPower(Value):
     """D^(2l) a^p, p in Z; 2- or 3-component links."""
-
-    ell: int
-    p: int
 
     case = "power"
 
+    def __init__(self, ell: int, p: int):
+        self.__dict__.update(ell=ell, p=p)
 
-@dataclass(frozen=True)
-class MurasugiHalfTwist:
+
+class MurasugiHalfTwist(Value):
     """D^(2l+1); a 2-component link."""
-
-    ell: int
 
     case = "half-twist"
 
+    def __init__(self, ell: int):
+        self.__dict__["ell"] = ell
 
-@dataclass(frozen=True)
-class MurasugiTorus:
+
+class MurasugiTorus(Value):
     """D^(2l) ab or D^(2l) (ab)^2; the braid-index-3 torus closures."""
-
-    ell: int
-    variant: str  # "ab" | "abab"
-
-    def __post_init__(self):
-        if self.variant not in ("ab", "abab"):
-            raise ValueError("variant must be 'ab' or 'abab'")
 
     case = "torus"
 
+    def __init__(self, ell: int, variant: str):  # variant "ab" | "abab"
+        if variant not in ("ab", "abab"):
+            raise ValueError("variant must be 'ab' or 'abab'")
+        self.__dict__.update(ell=ell, variant=variant)
 
-@dataclass(frozen=True)
-class MurasugiGeneric:
+
+class MurasugiGeneric(Value):
     """D^(2l) a^-p1 b^q1 ... a^-pr b^qr with every p_i, q_i >= 1."""
 
-    ell: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("generic form needs r >= 1")
-        if any(p < 1 or q < 1 for p, q in self.pairs):
-            raise ValueError("generic form needs all exponents >= 1")
-
     case = "generic"
+
+    def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...]):
+        if not pairs:
+            raise ValueError("generic form needs r >= 1")
+        if any(p < 1 or q < 1 for p, q in pairs):
+            raise ValueError("generic form needs all exponents >= 1")
+        self.__dict__.update(ell=ell, pairs=pairs)
 
     @property
     def r(self) -> int:
@@ -229,7 +210,7 @@ def form_display(form: GarsideForm | MurasugiForm) -> str:
     """Input-grammar rendering, D-power first, e.g. 'D^-3 a^7'."""
     k = delta_exponent(form)
     parts = [] if k == 0 else ["D" if k == 1 else f"D^{k}"]
-    body = BraidWord(tuple(map(_syllable, tail_runs(form)))).display()
+    body = display_runs(tail_runs(form))
     if body:
         parts.append(body)
     return " ".join(parts)
@@ -239,26 +220,23 @@ def form_display(form: GarsideForm | MurasugiForm) -> str:
 # Certificates
 
 
-@dataclass(frozen=True)
-class ConjugacyCertificate:
+class ConjugacyCertificate(Value):
     """Witness that conjugator * source * conjugator^-1 = target in B3."""
 
-    conjugator: BraidWord
-    source: BraidWord
-    target: BraidWord
+    def __init__(self, conjugator: BraidWord, source: BraidWord, target: BraidWord):
+        self.__dict__.update(conjugator=conjugator, source=source, target=target)
 
     def verify(self) -> bool:
         return conjugates_to(self.conjugator, self.source, self.target)
 
 
-@dataclass(frozen=True)
-class DeltaSplit:
+class DeltaSplit(Value):
     """A word as D^(2k) * positive_part with positive_part a positive word.
     k is positive only when the word's own leading D power outweighs its
     inverse letters."""
 
-    k: int
-    positive_part: BraidWord
+    def __init__(self, k: int, positive_part: BraidWord):
+        self.__dict__.update(k=k, positive_part=positive_part)
 
 
 #: generator <-> bit, so that exchanging a and b (tau) is an XOR with 1

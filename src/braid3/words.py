@@ -25,8 +25,8 @@ signed-int is a nonzero decimal integer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 GEN_A = "a"
@@ -57,6 +57,42 @@ class ParseError(ValueError):
 class WordLimitError(ValueError):
     """BRAID3_MAX_WORD_LEN is set to something other than a non-negative
     base-10 integer."""
+
+
+class Value:
+    """Base of the package's immutable values.  A subclass's fields are the
+    parameters of its __init__, in order, read once when the class is made;
+    __init__ checks them and stores them straight into self.__dict__.
+    Equality holds within one class and compares the fields, the hash
+    covers them, repr lists them, and nothing can be set or deleted."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+            # value -> its field value, or the tuple of them; not a method
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class _Run(NamedTuple):
@@ -105,8 +141,7 @@ def _word(runs: Iterable[tuple[str, int]]) -> BraidWord:
     return BraidWord(tuple(map(_syllable, out)))
 
 
-@dataclass(frozen=True, eq=False)
-class BraidWord:
+class BraidWord(Value):
     """An element of B3 in maximally merged run-length form.
 
     Immutable; all operations return new words.  Multiplication is
@@ -114,10 +149,11 @@ class BraidWord:
     word on the nose.  Equality and hashing follow the syllables.
     """
 
-    syllables: tuple[Syllable, ...] = ()
-
     #: k of a leading D^k kept as a number; only _Twisted words set it
     delta = 0
+
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
+        self.__dict__["syllables"] = syllables
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
@@ -194,12 +230,7 @@ class BraidWord:
 
     def display(self) -> str:
         """Render in the input grammar (A/B for inverse runs), space separated."""
-        parts = []
-        for gen, exp in self.syllables:
-            letter = gen if exp > 0 else gen.upper()
-            e = abs(exp)
-            parts.append(letter if e == 1 else f"{letter}^{e}")
-        return " ".join(parts)
+        return display_runs(self.syllables)
 
     def __str__(self) -> str:
         return self.display() or "<identity>"
@@ -208,11 +239,13 @@ class BraidWord:
 class _Twisted(BraidWord):
     """The word D^delta * tail, delta != 0, for a merged tail.  What reads
     the group element uses delta as a number; the syllables, those of the
-    expanded and merged word, are built on first use."""
+    expanded and merged word, are built on first use; like any word, it
+    compares, hashes and prints by them."""
+
+    _fields = BraidWord._fields
 
     def __init__(self, delta: int, tail: tuple[Syllable, ...]):
-        attrs = self.__dict__  # frozen: set the attributes in place
-        attrs["delta"], attrs["tail"] = delta, tail
+        self.__dict__.update(delta=delta, tail=tail)
 
     @cached_property
     def _seam(self) -> tuple[int, BraidWord]:
@@ -250,7 +283,7 @@ class _Twisted(BraidWord):
     def display(self) -> str:
         h, rest = self._seam
         seam = BraidWord(delta_runs(h)[-1:]) * rest
-        block = delta_runs(h, lambda run: BraidWord((run,)).display())
+        block = delta_runs(h, lambda run: display_runs((run,)))
         return " ".join(block[:-1] + (seam.display(),))
 
 
@@ -263,6 +296,16 @@ def delta_runs(k: int, f=_syllable) -> tuple:
     s = 1 if k > 0 else -1
     a1, b1, a2 = f((GEN_A, s)), f((GEN_B, s)), f((GEN_A, 2 * s))
     return (a1, b1) + (a2, b1) * (abs(k) - 1) + (a1,)
+
+
+def display_runs(runs: Iterable[tuple[str, int]]) -> str:
+    """Runs in the input grammar (A/B for inverse runs), space separated."""
+    parts = []
+    for gen, exp in runs:
+        letter = gen if exp > 0 else gen.upper()
+        e = abs(exp)
+        parts.append(letter if e == 1 else f"{letter}^{e}")
+    return " ".join(parts)
 
 
 def delta_power(k: int) -> BraidWord:

@@ -458,5 +458,5 @@ class TestPublicNames:
     def test_removed_names_are_gone(self):
         for name in ("alternating_distance_genus_bounds", "AlternatingGenusBounds", "_witness_word"):
             assert not hasattr(braid3, name) and not hasattr(braid3.cobordism, name)
-        assert set(braid3.DeltaSplit.__dataclass_fields__) == {"k", "positive_part"}
+        assert set(braid3.DeltaSplit._fields) == {"k", "positive_part"}
         assert not hasattr(braid3.DeltaSplit, "verify")

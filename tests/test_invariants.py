@@ -1,10 +1,11 @@
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import braid3.invariants
+import braid3.normal_form
 from braid3.invariants import (
     IntInterval,
     NotAKnotError,
@@ -29,6 +30,7 @@ from braid3.normal_form import (
     MurasugiHalfTwist,
     MurasugiPower,
     MurasugiTorus,
+    form_display,
     garside_normal_form,
     murasugi_from_garside,
     murasugi_normal_form,
@@ -201,7 +203,7 @@ class TestGenusTau:
         links = 0
         for shape in shapes:
             for ell in range(-3, 4):
-                form = dataclasses.replace(shape, ell=ell)
+                form = type(shape)(ell, *(getattr(shape, f) for f in shape._fields[1:]))
                 word = realize(form)
                 if not word.is_knot():
                     links += 1
@@ -430,6 +432,22 @@ class TestReport:
             with pytest.raises(NotAKnotError):
                 upsilon(link)
         assert len(decided) == 3
+        # the genus of a positive form and the display of either form read the
+        # form's runs; neither builds its word again
+        realized = []
+
+        def counted_realize(form):
+            realized.append(form)
+            return realize(form)
+
+        for module in (braid3.invariants, braid3.normal_form):
+            monkeypatch.setattr(module, "realize", counted_realize)
+        assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
+        assert rasmussen_s(r.garside) == (-8, "positive-braid")
+        assert [form_display(f) for f in (r.garside, r.murasugi)] == [
+            "a^3 b^2 a^2 b^3", "D^4 A b A^3 b",
+        ]
+        assert realized == []
 
     def test_unknot_closure(self):
         r = build_report(parse("A b"))
