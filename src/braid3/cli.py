@@ -217,7 +217,7 @@ def certificate_from_json(data: dict) -> CobordismCertificate:
 
 def cmd_certify(args) -> int:
     word = parse(args.word)
-    # both constructions replay their certificate and raise unless it verifies
+    # both constructions rerun their certificate's checks and raise unless they pass
     if args.kind == "torus-sum":
         cert = torus_sum_cobordism(word)
     else:

@@ -107,14 +107,10 @@ class VerificationResult(Value):
 def _alternating_pairs(word: BraidWord) -> list[tuple[int, int]]:
     """Exponent pairs of a positive word of shape a^p1 b^q1 ... a^pr b^qr."""
     syl = word.syllables
-    if not syl or len(syl) % 2:
+    pairs = [(p, q) for (g, p), (h, q) in zip(syl[::2], syl[1::2])
+             if g == GEN_A and h == GEN_B and p > 0 and q > 0]
+    if not syl or len(syl) != 2 * len(pairs):
         raise PreconditionError("word is not an alternating positive a/b word")
-    pairs = []
-    for i in range(0, len(syl), 2):
-        p, q = syl[i], syl[i + 1]
-        if p.gen != GEN_A or q.gen != GEN_B or p.exp < 1 or q.exp < 1:
-            raise PreconditionError("word is not an alternating positive a/b word")
-        pairs.append((p.exp, q.exp))
     return pairs
 
 
@@ -168,7 +164,7 @@ def _torus_sum(start: BraidWord) -> CobordismCertificate:
 
 
 def _checked(cert: CobordismCertificate) -> CobordismCertificate:
-    result = verify(cert)
+    result = _replay(cert, cert)  # what its kind builds from its input: its own rebuild
     if not result:
         raise InternalInconsistencyError(f"freshly built certificate failed: {result.reasons}")
     return cert
@@ -220,21 +216,28 @@ def _rebuilt(cert: CobordismCertificate, reasons: list[str]) -> CobordismCertifi
 
 def verify(cert: CobordismCertificate) -> VerificationResult:
     """Replay a certificate against its kind's construction; collects every failed check."""
+    return _replay(cert, None)
+
+
+def _replay(cert: CobordismCertificate, built: CobordismCertificate | None) -> VerificationResult:
+    """verify's checks, comparing cert with built, or with _rebuilt(cert) when built is None."""
     reasons: list[str] = []
 
     chi = -len(cert.moves)
     if cert.euler_char != chi:
         reasons.append("euler characteristic mismatch")
 
+    num, den = cert.genus.numerator, cert.genus.denominator  # lowest terms, den > 0
     knots = cert.start.is_knot() and cert.end.is_knot()
     if not knots:
         reasons.append("boundary components are not knots")
     elif chi % 2:
         reasons.append("non-integral genus")
-    elif cert.genus != Fraction(-chi, 2):
+    elif 2 * num != -chi * den:
         reasons.append("genus mismatch")
 
-    built = _rebuilt(cert, reasons)
+    if built is None:
+        built = _rebuilt(cert, reasons)
     if built is not None:
         if cert.start != built.start:
             reasons.append("start word does not match construction")
@@ -246,7 +249,7 @@ def verify(cert: CobordismCertificate) -> VerificationResult:
     if knots:
         form, _ = garside_normal_form(cert.start)
         gap = abs(upsilon(form) - cert.end.upsilon())
-        if gap > cert.genus:
+        if gap * den > num:
             reasons.append("upsilon gap exceeds genus")
 
     return VerificationResult(not reasons, tuple(reasons))

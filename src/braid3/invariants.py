@@ -18,6 +18,7 @@ Sign conventions, fixed across the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .normal_form import (
     ConjugacyCertificate,
@@ -33,10 +34,9 @@ from .normal_form import (
     garside_normal_form,
     delta_exponent,
     murasugi_from_garside,
-    realize,
     tail_runs,
 )
-from .words import BraidWord, Value
+from .words import KNOT_PERMS, BraidWord, Value, delta_runs, runs_permutation
 
 
 class NotAKnotError(ValueError):
@@ -62,11 +62,12 @@ class IntInterval(Value):
 
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
     # this rejects cases A and power, the half twist and case B with p = 2, so the
-    # knot invariants below see only B, C, D, torus and generic forms.  The realized
-    # word decides once per form object; kept on the form, the answer dies with it
+    # knot invariants below see only B, C, D, torus and generic forms.  The form's
+    # runs decide once per form object; kept on the form, the answer dies with it
     attrs = vars(form)
     if "_knot" not in attrs:
-        attrs["_knot"] = realize(form).is_knot()
+        runs = chain(delta_runs(delta_exponent(form) & 1), tail_runs(form))
+        attrs["_knot"] = runs_permutation(runs) in KNOT_PERMS
     if not attrs["_knot"]:
         raise NotAKnotError(f"closure of {form} is not a knot")
 
@@ -247,12 +248,27 @@ def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | No
     return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
+class _Flags(dict):
+    """Read-only flags that print as a JSON object and hash over their items."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("report flags are read-only")
+
+    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _read_only
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.items()))
+
+    def __reduce__(self):
+        return _Flags, (dict(self),)
+
+
 class InvariantReport(Value):
     """Everything the pipeline can say about one braid word.
 
     None means no closed form applies; on a link every knot invariant is
     None.  `alt` bounds the alternation number, the dealternating number
-    and the Turaev genus alike.  `flags` records, per reported field,
+    and the Turaev genus alike.  The read-only `flags` record, per reported field,
     'exact', 'interval' or 'absent', plus the provenance of the Rasmussen
     value.
     """
@@ -265,7 +281,7 @@ class InvariantReport(Value):
         rasmussen_s: int | None = None, genus3: int | None = None, genus4: int | None = None,
         tau: int | None = None, alt: IntInterval | None = None, minimal_r: int | None = None,
         ballinger_t: int | None = None, nonorientable_g4_lower: int | None = None,
-        flags: dict | None = None,
+        flags: _Flags | None = None,
     ):
         self.__dict__.update(
             word=word, garside=garside, murasugi=murasugi,
@@ -328,12 +344,12 @@ def build_report(word: BraidWord) -> InvariantReport:
     g3, g4, tau_val = gt or (None, None, None)
     t_val, gamma4 = derived_concordance(ups, sig) if knot else (None, None)
 
-    flags = {name: _flag(value) for name, value in (
+    flags = _Flags({name: _flag(value) for name, value in (
         ("fdtc", omega), ("homogenized_upsilon", h_ups), ("upsilon", ups),
         ("signature", sig), ("s", s_pair), ("genus3", g3), ("genus4", g4),
         ("tau", tau_val), ("alt", alt), ("dalt", alt), ("turaev", alt),
         ("minimal_r", min_r),
-    )}
+    )})
 
     return InvariantReport(
         word=word,

@@ -41,6 +41,7 @@ circular substrings", IPL 1980).
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .burau import conjugates_to
 from .words import (
@@ -274,6 +275,9 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             rel.append((x, 1))
             rel.append((x ^ 1, 1))
     e, flip = word.delta - m, m & 1
+    if not m:  # a positive tail is its own positive part, after D^(e & 1)
+        tail = BraidWord(word.tail) if word.delta else word
+        return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * tail if e & 1 else tail)
     runs = list(delta_runs(e & 1)) + [(_GEN[x ^ flip], n) for x, n in rel]
     return DeltaSplit(k=e >> 1, positive_part=_word(runs))
 
@@ -464,7 +468,7 @@ def _certified(source: BraidWord, form, pieces: list, what: str) -> ConjugacyCer
     """The certificate taking source to the realized form by the pieces,
     multiplied last first; the oracle checks it and a failure raises
     InternalInconsistencyError."""
-    conj = _word(run for piece in reversed(pieces) for run in piece)
+    conj = _word(chain.from_iterable(reversed(pieces)))
     cert = ConjugacyCertificate(conj, source, realize(form))
     if not cert.verify():
         raise InternalInconsistencyError(f"{what} certificate failed for {source.display()!r}")

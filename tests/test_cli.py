@@ -1,19 +1,24 @@
 import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braid3
 import braid3.cli
 import braid3.cobordism
 from braid3 import build_report, parse
 from braid3.cli import main, report_json
+from braid3.cobordism import torus_sum_cobordism, twist_trick
 from braid3.normal_form import ConjugacyCertificate, InternalInconsistencyError
 
 from conftest import random_word
@@ -169,23 +174,72 @@ class TestCertify:
          '{"kind": "split_to_connected_sum", "position": 1, "generator": "b"}], '
          '"euler_char": -2, "genus": "1/1", "verified": true}'),
     ], ids=["torus-sum", "twist"])
-    def test_one_replay(self, capsys, monkeypatch, argv, line):
-        calls = []
-        real = braid3.cobordism.verify
+    def test_one_replay(self, capsys, monkeypatch, tmp_path, argv, line):
+        # certify reruns its certificate's checks once and does not build it a
+        # second time; verify --cert rebuilds it once to compare
+        replays, rebuilds = [], []
+        replay, rebuilt = braid3.cobordism._replay, braid3.cobordism._rebuilt
 
-        def counting(cert):
-            calls.append(cert)
-            return real(cert)
+        def counted_replay(cert, built):
+            replays.append(cert)
+            return replay(cert, built)
 
-        monkeypatch.setattr(braid3.cobordism, "verify", counting)
-        monkeypatch.setattr(braid3.cli, "verify_cobordism", counting)
+        def counted_rebuilt(cert, reasons):
+            rebuilds.append(cert)
+            return rebuilt(cert, reasons)
+
+        monkeypatch.setattr(braid3.cobordism, "_replay", counted_replay)
+        monkeypatch.setattr(braid3.cobordism, "_rebuilt", counted_rebuilt)
         code, out, _ = run(capsys, "certify", *argv)
-        assert code == 0 and len(calls) == 1
-        assert out == line + "\n"
+        assert code == 0 and out == line + "\n"
+        assert len(replays) == 1 and rebuilds == []
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 0 and json.loads(out) == {"verified": True, "reasons": []}
+        assert len(replays) == 2 and rebuilds == [replays[1]]
+
+    @pytest.mark.parametrize("argv", [
+        ("a^2 b^2 a^3 b^3", "--kind", "torus-sum"), ("a b", "--kind", "twist", "--n", "2"),
+    ], ids=["torus-sum", "twist"])
+    def test_builder_self_check_bites(self, capsys, monkeypatch, argv):
+        # an upsilon that puts the start word far from the end makes the gap
+        # exceed the genus, which the builder's own check must catch
+        monkeypatch.setattr(braid3.cobordism, "upsilon", lambda form: 100)
+        code, out, err = run(capsys, "certify", *argv)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "upsilon gap exceeds genus" in err
 
     def test_precondition_exit_code(self, capsys):
         code, _, err = run(capsys, "certify", "a^3", "--kind", "torus-sum")
         assert code == 3 and "not a knot" in err
+
+
+#: certify's JSON for one certificate of each kind
+FRESH_CERTIFICATES = [
+    braid3.cli.certificate_json(torus_sum_cobordism(parse("a^2 b^2 a^3 b^3")), True),
+    braid3.cli.certificate_json(twist_trick(parse("a b"), 2), True),
+]
+
+#: values of every JSON type, and integers far outside any certificate's range
+MUTANT_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(10**18, 10**40) | st.integers(-(10**40), -(10**18)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="abABD^-0123456789/ T(2,3)#", max_size=12),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "q", "word", "kind"]), st.integers(-3, 7), max_size=3),
+)
+
+
+def json_paths(data, prefix=()):
+    """Every key or index path into a JSON value, containers included."""
+    for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
 
 
 class TestVerify:
@@ -267,6 +321,31 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--cert", str(path))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "ZeroDivisionError" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_certificate_files(self, tmp_path_factory, data):
+        # drop one key or list entry of a fresh certificate, or give it a value of
+        # another type: verify --cert answers with a documented code, never a traceback
+        cert = json.loads(json.dumps(data.draw(st.sampled_from(FRESH_CERTIFICATES))))
+        path = data.draw(st.sampled_from(list(json_paths(cert))))
+        owner = cert
+        for key in path[:-1]:
+            owner = owner[key]
+        value = data.draw(st.none() | MUTANT_VALUES)
+        if value is None:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+        file = tmp_path_factory.getbasetemp() / "mutated-cert.json"
+        file.write_text(json.dumps(cert))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--cert", str(file)])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        lines = out.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and isinstance(json.loads(lines[0]), dict))
 
     def test_deeply_nested_file(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import braid3.cobordism
 from braid3.cobordism import (
     CobordismCertificate,
     ConnectedSum,
     PreconditionError,
     SaddleMove,
     TorusFactor,
+    VerificationResult,
     torus_sum_cobordism,
     twist_trick,
     verify,
@@ -19,6 +21,7 @@ from braid3.normal_form import (
     GarsideC,
     GarsideD,
     GarsideForm,
+    InternalInconsistencyError,
     garside_normal_form,
     realize,
 )
@@ -180,6 +183,61 @@ class TestVerify:
     def test_unknown_kind(self):
         cert = changed(self.make(), kind="mystery")
         assert "unknown certificate kind 'mystery'" in verify(cert).reasons
+
+
+def moved_first(cert: CobordismCertificate) -> CobordismCertificate:
+    first = cert.moves[0]
+    moved = SaddleMove(first.kind, first.position + 1, first.generator)
+    return changed(cert, moves=(moved,) + cert.moves[1:])
+
+
+def torus_bumped(cert: CobordismCertificate, i: int) -> CobordismCertificate:
+    factors = cert.end.factors
+    bumped = TorusFactor(factors[i].q + 2)
+    return changed(cert, end=ConnectedSum(factors[:i] + (bumped,) + factors[i + 1:]))
+
+
+GENUS = "genus mismatch"
+GAP = "upsilon gap exceeds genus"
+NOT_KNOTS = "boundary components are not knots"
+START = "start word does not match construction"
+MOVES = "move sequence does not match construction"
+END = "end expression does not match construction"
+
+#: (tamper, reasons on a^2 b^2 a^3 b^3 torus-sum, reasons on the twist of a b with n = 2)
+TAMPERS = [
+    (lambda c: changed(c, genus=c.genus + 1), (GENUS,), (GENUS,)),
+    (lambda c: changed(c, genus=c.genus - 1), (GENUS, GAP), (GENUS,)),
+    (lambda c: changed(c, genus=c.genus + Fraction(1, 2)), (GENUS,), (GENUS,)),
+    (lambda c: changed(c, genus=c.genus - Fraction(1, 2)), (GENUS, GAP), (GENUS,)),
+    (moved_first, (MOVES,), (MOVES,)),
+    (lambda c: torus_bumped(c, 0 if c.kind == "torus-sum" else 1), (END, GAP), (START,)),
+    (lambda c: changed(c, start=parse("a^2 b^2 a^3 b^5" if c.kind == "torus-sum" else "a b^3")),
+     (END,), (START,)),
+    (lambda c: changed(c, start=c.start * parse("b")), (NOT_KNOTS, MOVES, END), (NOT_KNOTS, START)),
+    (lambda c: changed(c, euler_char=c.euler_char - 1),
+     ("euler characteristic mismatch",), ("euler characteristic mismatch",)),
+]
+
+
+@pytest.mark.parametrize("tamper, torus_sum_reasons, twist_reasons", TAMPERS, ids=[
+    "genus+1", "genus-1", "genus+1/2", "genus-1/2", "first-position", "torus-q",
+    "start", "start-link", "euler-char",
+])
+def test_tampered_certificates_keep_their_reasons(tamper, torus_sum_reasons, twist_reasons):
+    torus_sum = torus_sum_cobordism(parse("a^2 b^2 a^3 b^3"))
+    twist = twist_trick(parse("a b"), 2)
+    assert verify(tamper(torus_sum)) == VerificationResult(False, torus_sum_reasons)
+    assert verify(tamper(twist)) == VerificationResult(False, twist_reasons)
+
+
+def test_builder_self_check_bites(monkeypatch):
+    # with upsilon pinned far from every end factor, the gap exceeds the genus
+    monkeypatch.setattr(braid3.cobordism, "upsilon", lambda form: 100)
+    with pytest.raises(InternalInconsistencyError, match=GAP):
+        torus_sum_cobordism(parse("a^2 b^2 a^3 b^3"))
+    with pytest.raises(InternalInconsistencyError, match=GAP):
+        twist_trick(parse("a b"), 2)
 
 
 class TestSlopeBoundReproduction:

@@ -1,5 +1,6 @@
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -408,18 +409,31 @@ class TestReport:
         assert r.flags["upsilon"] == "absent"
 
     def test_one_knot_decision_per_form(self, monkeypatch):
-        # the knot-only invariants ask the realized form word is_knot; count those calls
+        # the knot-only invariants read the permutation of the form's runs; count those
         decided = []
-        is_knot = BraidWord.is_knot
+        permutation = braid3.invariants.runs_permutation
 
-        def counted(word):
-            decided.append(word)
-            return is_knot(word)
+        def counted(runs):
+            runs = list(runs)
+            decided.append(runs)
+            return permutation(runs)
 
-        monkeypatch.setattr(BraidWord, "is_knot", counted)
+        # realize builds each form's word once, for its certificate, and nowhere else
+        realized = []
+
+        def counted_realize(form):
+            realized.append((form, sys._getframe(1).f_code.co_name))
+            return realize(form)
+
+        monkeypatch.setattr(braid3.invariants, "runs_permutation", counted)
+        monkeypatch.setattr(braid3.normal_form, "realize", counted_realize)
+        assert not hasattr(braid3.invariants, "realize")
         r = build_report(parse("a^2 b^2 a^3 b^3"))
         assert r.is_knot
-        assert decided == [realize(r.garside), realize(r.murasugi)]
+        assert realized == [(r.garside, "_certified"), (r.murasugi, "_certified")]
+        assert [permutation(runs) for runs in decided] == [
+            realize(r.garside).permutation(), realize(r.murasugi).permutation(),
+        ]
         for form in (r.garside, r.murasugi):
             for invariant in KNOT_ONLY_INVARIANTS:
                 invariant(form)
@@ -434,14 +448,7 @@ class TestReport:
         assert len(decided) == 3
         # the genus of a positive form and the display of either form read the
         # form's runs; neither builds its word again
-        realized = []
-
-        def counted_realize(form):
-            realized.append(form)
-            return realize(form)
-
-        for module in (braid3.invariants, braid3.normal_form):
-            monkeypatch.setattr(module, "realize", counted_realize)
+        del realized[:]
         assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
         assert rasmussen_s(r.garside) == (-8, "positive-braid")
         assert [form_display(f) for f in (r.garside, r.murasugi)] == [

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from braid3.normal_form import (
     murasugi_normal_form,
     realize,
 )
-from braid3.words import BraidWord, delta_power, parse
+from braid3.words import BraidWord, delta_power, delta_runs, parse
 
 import burau_reference
 from conftest import LETTER_RUNS, random_word, reduced_words
@@ -33,6 +34,29 @@ from conftest import LETTER_RUNS, random_word, reduced_words
 word_strategy = st.lists(st.sampled_from(LETTER_RUNS), max_size=14).map(
     BraidWord.from_runs
 )
+
+
+def positive_words(max_len: int):
+    """Every positive word of letter length <= max_len, the empty word too."""
+    for n in range(max_len + 1):
+        for letters in itertools.product("ab", repeat=n):
+            yield BraidWord.from_runs([(g, 1) for g in letters])
+
+
+def reference_split(word: BraidWord) -> tuple[int, BraidWord]:
+    """(k, P) with word = D^(2k) P, one letter at a time: a^-1 = D^-1 a b,
+    b^-1 = D^-1 b a, and each D^-1 moves to the front through u D^-1 = D^-1 tau(u)."""
+    other = {"a": "b", "b": "a"}
+    letters, m = [], 0
+    for gen, exp in word.tail if word.delta else word.syllables:
+        for _ in range(abs(exp)):
+            if exp > 0:
+                letters.append(gen)
+                continue
+            m += 1
+            letters = [other[g] for g in letters] + [gen, other[gen]]
+    e = word.delta - m
+    return e >> 1, BraidWord.from_runs(list(delta_runs(e & 1)) + [(g, 1) for g in letters])
 
 
 class TestDeltaPositiveSplit:
@@ -82,6 +106,18 @@ class TestDeltaPositiveSplit:
             assert split.k == e // 2
             assert len(split.positive_part) == positive + 2 * inverse + 3 * (e % 2)
             assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
+
+    def test_positive_words_with_delta_prefixes(self):
+        # a positive tail needs no substitution: P is D^(k & 1) times the tail,
+        # as the general path builds it; checked on every positive word of
+        # length <= 8 and on the reduced words of length <= 5 alike
+        words = list(positive_words(8)) + list(reduced_words(5))
+        for tail in words:
+            for k in range(-3, 4):
+                w = parse(f"D^{k} {tail.display()}") if k else tail
+                split = delta_positive_split(w)
+                assert (split.k, split.positive_part) == reference_split(w), w
+                assert words_equal(w, delta_power(2 * split.k) * split.positive_part)
 
     def test_split_letters_do_not_grow_with_delta(self, monkeypatch):
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", str(3 * 10**6 + 1))

@@ -2,6 +2,7 @@
 equality within its class, a hash and repr over its fields, and refuses
 assignment; and importing the package loads neither dataclasses nor inspect."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -20,7 +21,6 @@ from braid3 import (
     GarsideC,
     GarsideD,
     IntInterval,
-    InvariantReport,
     MurasugiGeneric,
     MurasugiHalfTwist,
     MurasugiPower,
@@ -34,7 +34,7 @@ from braid3 import (
     torus_sum_cobordism,
     upsilon,
 )
-from braid3.cli import main
+from braid3.cli import main, report_json
 from braid3.cobordism import VerificationResult
 from braid3.words import Value
 
@@ -77,11 +77,7 @@ def test_every_value_class_is_built():
 def test_value_semantics(make):
     value, twin = make(), make()
     assert value is not twin and value == twin and repr(value) == repr(twin)
-    if isinstance(value, InvariantReport):  # its flags field is a dict
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == hash(twin)
+    assert hash(value) == hash(twin)
     assert value.__eq__(object()) is NotImplemented
     fields = value._fields
     assert type(value).__match_args__ == fields
@@ -97,6 +93,33 @@ def test_value_semantics(make):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == twin and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_report_flags_are_read_only():
+    report = build_report(parse("a^2 b^2 a^3 b^3"))
+    flags = report.flags
+    printed = json.dumps(report_json(report))
+    mutators = [
+        lambda f: f.__setitem__("upsilon", "x"),
+        lambda f: f.__delitem__("upsilon"),
+        lambda f: f.update(upsilon="x"),
+        lambda f: f.pop("upsilon"),
+        lambda f: f.popitem(),
+        lambda f: f.clear(),
+        lambda f: f.setdefault("new", "x"),
+        lambda f: f.__ior__({"upsilon": "x"}),
+    ]
+    for mutate in mutators:
+        with pytest.raises(TypeError):
+            mutate(flags)
+    with pytest.raises(TypeError):
+        report.flags["upsilon"] = "x"
+    with pytest.raises(TypeError):
+        report.flags |= {"upsilon": "x"}
+    assert flags["upsilon"] == "exact" and json.dumps(report_json(report)) == printed
+    assert hash(flags) == hash(tuple(flags.items()))
+    # merging with | makes a new dict and leaves the flags alone
+    assert (flags | {"upsilon": "x"})["upsilon"] == "x" and flags["upsilon"] == "exact"
 
 
 def test_literal_reprs():
