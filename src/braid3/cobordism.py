@@ -115,15 +115,12 @@ def _alternating_pairs(word: BraidWord) -> list[tuple[int, int]]:
 
 
 def _cyclic_positive_normalize(word: BraidWord) -> BraidWord:
-    """Rotate a positive word (a conjugation, so the closure is unchanged)
-    into the shape a^p1 b^q1 ... a^pr b^qr."""
+    """Rotate a positive word whose closure is a knot, so that it uses both
+    generators, into the shape a^p1 b^q1 ... a^pr b^qr (a conjugation, so
+    the closure is unchanged)."""
     if any(s.exp < 0 for s in word):
         raise PreconditionError("word must be positive")
-    if not word:
-        raise PreconditionError("word must be nonempty")
     runs = [[g, e] for g, e in word]
-    if len(runs) == 1:
-        raise PreconditionError("word uses only one generator")
     if runs[0][0] == runs[-1][0]:
         head = runs.pop()
         runs[0][1] += head[1]

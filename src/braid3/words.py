@@ -259,8 +259,12 @@ class _Twisted(BraidWord):
 
     @cached_property
     def syllables(self) -> tuple[Syllable, ...]:
+        # D^h's last run a^(+-1) and rest's first merge into one a^(+-2)
         h, rest = self._seam
-        return (BraidWord(delta_runs(h)) * rest).syllables
+        if not h:
+            return rest.syllables
+        a1, b1, a2 = _DELTA_SYLLABLES[h > 0]
+        return (a1, b1) + (a2, b1) * (abs(h) - 1) + (a2,) + rest.syllables[1:]
 
     def __len__(self) -> int:
         h, rest = self._seam
@@ -281,20 +285,28 @@ class _Twisted(BraidWord):
         return runs_permutation(delta_runs(self.delta % 2) + self.tail)
 
     def display(self) -> str:
+        # the same block as syllables, written as one repeated string
         h, rest = self._seam
-        seam = BraidWord(delta_runs(h)[-1:]) * rest
-        block = delta_runs(h, lambda run: display_runs((run,)))
-        return " ".join(block[:-1] + (seam.display(),))
+        if not h:
+            return rest.display()
+        a, b = "ab" if h > 0 else "AB"
+        seam = display_runs(_DELTA_SYLLABLES[h > 0][2:] + rest.syllables[1:])
+        return f"{a} {b}" + f" {a}^2 {b}" * (abs(h) - 1) + " " + seam
 
 
-def delta_runs(k: int, f=_syllable) -> tuple:
+#: the runs a, b, a^2 of D's block and A, B, A^2 of D^-1's, indexed by k > 0
+_DELTA_SYLLABLES = tuple(
+    (_syllable((GEN_A, s)), _syllable((GEN_B, s)), _syllable((GEN_A, 2 * s))) for s in (-1, 1)
+)
+
+
+def delta_runs(k: int) -> tuple[Syllable, ...]:
     """The merged runs of D^k (k may be negative), a b (a^2 b)^(|k|-1) a
-    with every exponent signed like k, as a tuple of f(run); f is called
-    three times, whatever k is."""
+    with every exponent signed like k; every run is one of six shared
+    syllables, whatever k is."""
     if not k:
         return ()
-    s = 1 if k > 0 else -1
-    a1, b1, a2 = f((GEN_A, s)), f((GEN_B, s)), f((GEN_A, 2 * s))
+    a1, b1, a2 = _DELTA_SYLLABLES[k > 0]
     return (a1, b1) + (a2, b1) * (abs(k) - 1) + (a1,)
 
 

@@ -212,8 +212,10 @@ class TestCertify:
         assert "upsilon gap exceeds genus" in err
 
     def test_precondition_exit_code(self, capsys):
-        code, _, err = run(capsys, "certify", "a^3", "--kind", "torus-sum")
-        assert code == 3 and "not a knot" in err
+        # neither the empty word nor a one-generator word closes to a knot
+        for word in ("", "a^3"):
+            code, out, err = run(capsys, "certify", word, "--kind", "torus-sum")
+            assert code == 3 and out == "" and err == "closure is not a knot\n"
 
 
 #: certify's JSON for one certificate of each kind
@@ -258,6 +260,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "b a B a^2 B^3", "B a B^2 a^2")
         assert code == 1
         assert json.loads(out) == {"equal_in_b3": False, "conjugate_in_b3": False}
+
+    def test_one_word_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "a")
+        assert code == 3 and out == ""
+        assert err == "verify needs two words or --cert FILE\n"
+
+    def test_twist_region_below_one(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "certify", "a b", "--kind", "twist", "--n", "1")
+        data = json.loads(out)
+        data["end_factors"][1]["q"] = 1
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 1
+        assert json.loads(out) == {"verified": False, "reasons": ["twist region must have n >= 1"]}
 
     def test_certificate_file_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
@@ -397,6 +414,17 @@ class TestBatch:
         assert "parse error at 1" in rows[0]["error"]
         assert rows[1]["upsilon"] == 0
         assert "2 processed, 1 errors" in err
+
+    def test_missing_word_column(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("name,text\none,ab\ntwo,a^3 b\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"name": name, "word": "", "error": "parse error at 1: missing word column"}
+            for name in ("one", "two")
+        ]
+        assert err == "2 processed, 2 errors\n"
 
     def test_internal_error_row_continues(self, capsys, tmp_path, monkeypatch):
         real = braid3.cli.build_report

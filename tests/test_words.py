@@ -343,6 +343,23 @@ class TestDeltaPrefix:
             assert self._views(op(w)) == self._views(op(plain))
         assert _delta_prefixed(k, tail * other) == w * other
 
+    def test_block_and_seam_match_the_letter_expansion(self):
+        # D^k reads as aba (or ABA) |k| times, merged with the tail letter by
+        # letter; the word writes D^h's block by hand and merges only the seam
+        hs, cancelled = set(), 0
+        for k in range(-12, 13):
+            if not k:
+                continue
+            s = 1 if k > 0 else -1
+            block = [("a", s), ("b", s), ("a", s)] * abs(k)
+            for tail in reduced_words(4):
+                w = parse(f"D^{k} {tail.display()}")
+                ref = BraidWord.from_runs(block + runs(tail))
+                assert (w.syllables, len(w), w.display()) == (ref.syllables, len(ref), ref.display())
+                hs.add(abs(w._seam[0]))
+                cancelled += len(ref) < 3 * abs(k) + len(tail)
+        assert {0, 1} <= hs and cancelled
+
     def test_inequality_across_deltas(self):
         assert parse("D^2 a") != parse("D^2 b") and parse("D^2 a") != parse("D^-2 a")
         assert parse("D^2 a") != parse("a b a^2 b a^2 b")
