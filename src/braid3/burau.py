@@ -37,7 +37,7 @@ def _image(*words: BraidWord) -> tuple[int, int, int, int, int]:
                 m11, m12, m21, m22 = -m11, -m12, -m21, -m22
             if d & 1:  # right-multiply by D = [[0, 1], [-1, 0]]
                 m11, m12, m21, m22 = -m12, m11, -m22, m21
-        for gen, k in word.tail if d else word.syllables:
+        for gen, k in word.tail:
             writhe += k
             if gen == GEN_A:  # right-multiply by a^k = [[1, k], [0, 1]]
                 m12 += k * m11

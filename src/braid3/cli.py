@@ -223,9 +223,10 @@ def cmd_certify(args) -> int:
     else:
         cert = twist_trick(word, args.n)
     # verify --cert parses the start word back, under the same limit
-    limit = max_word_len()
-    if len(cert.start) > limit:
-        print(f"certificate start word has {len(cert.start)} letters, "
+    # summed here, as len() cannot return more than sys.maxsize
+    letters, limit = sum(abs(e) for _, e in cert.start), max_word_len()
+    if letters > limit:
+        print(f"certificate start word has {letters} letters, "
               f"more than BRAID3_MAX_WORD_LEN={limit}", file=sys.stderr)
         return EXIT_PARSE
     print(json.dumps(certificate_json(cert, True)))
@@ -260,6 +261,11 @@ def cmd_batch(args) -> int:
         fh = open(args.csv, "r", encoding="utf-8", newline="")
     except OSError as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.csv, args.out):
+        fh.close()
+        print(f"--out {args.out} is the --csv input; it would be emptied before it is read",
+              file=sys.stderr)
         return EXIT_PARSE
     processed = errors = 0
     try:

@@ -45,7 +45,7 @@ from itertools import chain
 
 from .burau import conjugates_to
 from .words import (
-    GEN_A, GEN_B, BraidWord, Value, _Twisted, _syllable, _word, delta_runs, display_runs,
+    GEN_A, GEN_B, BraidWord, Value, _syllable, _word, delta_runs, display_runs,
 )
 
 
@@ -203,8 +203,7 @@ def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     """The braid word displayed by a normal form, its D^k kept as the
     word's delta; its syllables are those of the expanded word."""
-    k, tail = delta_exponent(form), tuple(map(_syllable, tail_runs(form)))
-    return _Twisted(k, tail) if k else BraidWord(tail)
+    return BraidWord(tuple(map(_syllable, tail_runs(form))), delta_exponent(form))
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:
@@ -264,7 +263,7 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
     """
     rel: list[tuple[int, int]] = []  # (generator bit XOR parity of m so far, exponent)
     m = 0
-    for s in word.tail if word.delta else word.syllables:
+    for s in word.tail:
         g = _BIT[s.gen]
         if s.exp > 0:
             rel.append((g ^ (m & 1), s.exp))
@@ -276,7 +275,7 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             rel.append((x ^ 1, 1))
     e, flip = word.delta - m, m & 1
     if not m:  # a positive tail is its own positive part, after D^(e & 1)
-        tail = BraidWord(word.tail) if word.delta else word
+        tail = BraidWord(word.tail)
         return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * tail if e & 1 else tail)
     runs = list(delta_runs(e & 1)) + [(_GEN[x ^ flip], n) for x, n in rel]
     return DeltaSplit(k=e >> 1, positive_part=_word(runs))

@@ -5,8 +5,10 @@ B3 is generated by a (= sigma_1, crossing strands 1 and 2) and b (= sigma_2,
 crossing strands 2 and 3), subject to the braid relation aba = bab.  A braid
 word is stored in run-length form: a tuple of syllables (generator, exponent)
 with nonzero exponents and no two adjacent syllables on the same generator.
-The empty tuple is the identity.  A word may keep a leading power D^k of
-the half twist as a number, delta, so that it costs what the rest costs.
+The empty tuple is the identity.  Every word is D^delta * tail, a power of
+the half twist kept as a number and a merged tail, so D^k costs what the
+tail costs; mirror keeps delta, but inverse, swap_generators and ** expand
+it, where a symbolic D would not be letter-exact (aba swaps to bab).
 
 Conventions fixed here and used throughout the package:
   * braid diagrams read bottom to top, so the induced permutation of the
@@ -123,10 +125,10 @@ class Syllable(_Run):
 _syllable = partial(tuple.__new__, Syllable)
 
 
-def _word(runs: Iterable[tuple[str, int]]) -> BraidWord:
+def _word(runs: Iterable[tuple[str, int]], delta: int = 0) -> BraidWord:
     """BraidWord.from_runs for runs on valid generators, built inside the
     package: a run-length merge in which runs that cancel to zero drop out,
-    which lets the runs on either side combine in turn."""
+    which lets the runs on either side combine in turn, into the tail of D^delta."""
     out: list[tuple[str, int]] = []
     for run in runs:
         gen, exp = run
@@ -138,22 +140,28 @@ def _word(runs: Iterable[tuple[str, int]]) -> BraidWord:
                 continue
             run = (gen, exp)
         out.append(run)
-    return BraidWord(tuple(map(_syllable, out)))
+    return BraidWord(tuple(map(_syllable, out)), delta)
 
 
 class BraidWord(Value):
-    """An element of B3 in maximally merged run-length form.
+    """An element of B3, D^delta * tail with a maximally merged tail.
 
     Immutable; all operations return new words.  Multiplication is
     concatenation with free merging, so w * w.inverse() is the identity
-    word on the nose.  Equality and hashing follow the syllables.
+    word on the nose.  Equality and hashing follow the syllables, those of
+    the expanded word: the tail when delta is 0, else built on first use.
     """
 
-    #: k of a leading D^k kept as a number; only _Twisted words set it
+    #: k of the leading D^k kept as a number; a word with k != 0 stores it
     delta = 0
 
-    def __init__(self, syllables: tuple[Syllable, ...] = ()):
-        self.__dict__["syllables"] = syllables
+    def __init__(self, tail: tuple[Syllable, ...] = (), delta: int = 0):
+        attrs = self.__dict__
+        attrs["tail"] = tail
+        if delta:
+            attrs["delta"] = delta
+        else:
+            attrs["syllables"] = tail
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
@@ -164,6 +172,26 @@ class BraidWord(Value):
             if gen not in _OTHER:
                 raise ValueError(f"unknown generator {gen!r}")
         return _word(runs)
+
+    @cached_property
+    def _seam(self) -> tuple[int, BraidWord]:
+        """(h, rest) with D^delta = D^h D^c and rest = D^c * tail multiplied
+        out, for delta != 0.  A tail of r runs cancels at most r runs of
+        D^delta, so with 2|c| + 1 > r + 1 rest keeps the first run of D^c,
+        the a^(+-1) that merges with the last run of D^h without cancelling."""
+        k = self.delta
+        c = min(abs(k), len(self.tail) // 2 + 1) * (1 if k > 0 else -1)
+        return k - c, BraidWord(delta_runs(c)) * BraidWord(self.tail)
+
+    @cached_property
+    def syllables(self) -> tuple[Syllable, ...]:
+        # read only when delta != 0; D^h's last run a^(+-1) and rest's first
+        # merge into one a^(+-2)
+        h, rest = self._seam
+        if not h:
+            return rest.syllables
+        a1, b1, a2 = _DELTA_SYLLABLES[h > 0]
+        return (a1, b1) + (a2, b1) * (abs(h) - 1) + (a2,) + rest.syllables[1:]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
@@ -178,15 +206,19 @@ class BraidWord(Value):
 
     def __len__(self) -> int:
         """Letter length (total number of crossings)."""
-        return sum(abs(e) for _, e in self.syllables)
+        if self.delta:
+            h, rest = self._seam
+            return 3 * abs(h) + len(rest)
+        return sum(abs(e) for _, e in self.tail)
 
     def __bool__(self) -> bool:
+        # a tail can cancel the whole D block
         return bool(self.syllables)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         # both sides are merged, so only the runs at the seam combine: each
         # pair that cancels exposes the next pair, on the other generator
-        left, right = self.syllables, other.syllables
+        left, right = self.tail, other.syllables
         j, i = len(left), 0
         while j and i < len(right) and left[j - 1][0] == right[i][0]:
             gen, exp = right[i]
@@ -194,8 +226,8 @@ class BraidWord(Value):
             j -= 1
             i += 1
             if exp:
-                return BraidWord(left[:j] + (_syllable((gen, exp)),) + right[i:])
-        return BraidWord(left[:j] + right[i:])
+                return BraidWord(left[:j] + (_syllable((gen, exp)),) + right[i:], self.delta)
+        return BraidWord(left[:j] + right[i:], self.delta)
 
     def __pow__(self, k: int) -> BraidWord:
         if k < 0:
@@ -203,23 +235,27 @@ class BraidWord(Value):
         return _word(self.syllables * k)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(tuple(_syllable((g, -e)) for g, e in reversed(self.syllables)))
+        # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
+        tail = tuple(_syllable((g, -e)) for g, e in reversed(self.tail))
+        return BraidWord(tail) * BraidWord(delta_runs(-self.delta))
 
     def mirror(self) -> BraidWord:
         """Negate every exponent in place; the closure of the result is the
-        mirror (with reversed orientation) of the closure of self."""
-        return BraidWord(tuple(_syllable((g, -e)) for g, e in self.syllables))
+        mirror (with reversed orientation) of the closure of self.  D^k's
+        runs are signed like k, so D^k t mirrors to D^-k and the mirrored tail."""
+        return BraidWord(tuple(_syllable((g, -e)) for g, e in self.tail), -self.delta)
 
     def swap_generators(self) -> BraidWord:
-        """Exchange a and b (conjugation by the half twist)."""
+        """Exchange a and b (conjugation by the half twist), expanding D^k."""
         return BraidWord(tuple(_syllable((_OTHER[g], e)) for g, e in self.syllables))
 
     def writhe(self) -> int:
-        return sum(e for _, e in self.syllables)
+        return 3 * self.delta + sum(e for _, e in self.tail)
 
     def permutation(self) -> tuple[int, int, int]:
         """Images of strands (1, 2, 3) under the word, read left to right."""
-        return runs_permutation(self.syllables)
+        # D^2 is a pure braid and D reverses the strands
+        return runs_permutation(self.tail, (3, 2, 1) if self.delta & 1 else IDENTITY_PERM)
 
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
@@ -230,61 +266,8 @@ class BraidWord(Value):
 
     def display(self) -> str:
         """Render in the input grammar (A/B for inverse runs), space separated."""
-        return display_runs(self.syllables)
-
-    def __str__(self) -> str:
-        return self.display() or "<identity>"
-
-
-class _Twisted(BraidWord):
-    """The word D^delta * tail, delta != 0, for a merged tail.  What reads
-    the group element uses delta as a number; the syllables, those of the
-    expanded and merged word, are built on first use; like any word, it
-    compares, hashes and prints by them."""
-
-    _fields = BraidWord._fields
-
-    def __init__(self, delta: int, tail: tuple[Syllable, ...]):
-        self.__dict__.update(delta=delta, tail=tail)
-
-    @cached_property
-    def _seam(self) -> tuple[int, BraidWord]:
-        """(h, rest) with D^delta = D^h D^c and rest = D^c * tail multiplied
-        out.  A tail of r runs cancels at most r runs of D^delta, so with
-        2|c| + 1 > r + 1 rest keeps the first run of D^c, the a^(+-1) that
-        merges with the last run of D^h without cancelling."""
-        k = self.delta
-        c = min(abs(k), len(self.tail) // 2 + 1) * (1 if k > 0 else -1)
-        return k - c, BraidWord(delta_runs(c)) * BraidWord(self.tail)
-
-    @cached_property
-    def syllables(self) -> tuple[Syllable, ...]:
-        # D^h's last run a^(+-1) and rest's first merge into one a^(+-2)
-        h, rest = self._seam
-        if not h:
-            return rest.syllables
-        a1, b1, a2 = _DELTA_SYLLABLES[h > 0]
-        return (a1, b1) + (a2, b1) * (abs(h) - 1) + (a2,) + rest.syllables[1:]
-
-    def __len__(self) -> int:
-        h, rest = self._seam
-        return 3 * abs(h) + len(rest)
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        return _Twisted(self.delta, (BraidWord(self.tail) * other).syllables)
-
-    def inverse(self) -> BraidWord:
-        # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
-        return BraidWord(self.tail).inverse() * BraidWord(delta_runs(-self.delta))
-
-    def writhe(self) -> int:
-        return 3 * self.delta + sum(e for _, e in self.tail)
-
-    def permutation(self) -> tuple[int, int, int]:
-        # D^2 is a pure braid
-        return runs_permutation(delta_runs(self.delta % 2) + self.tail)
-
-    def display(self) -> str:
+        if not self.delta:
+            return display_runs(self.tail)
         # the same block as syllables, written as one repeated string
         h, rest = self._seam
         if not h:
@@ -292,6 +275,9 @@ class _Twisted(BraidWord):
         a, b = "ab" if h > 0 else "AB"
         seam = display_runs(_DELTA_SYLLABLES[h > 0][2:] + rest.syllables[1:])
         return f"{a} {b}" + f" {a}^2 {b}" * (abs(h) - 1) + " " + seam
+
+    def __str__(self) -> str:
+        return self.display() or "<identity>"
 
 
 #: the runs a, b, a^2 of D's block and A, B, A^2 of D^-1's, indexed by k > 0
@@ -322,13 +308,12 @@ def display_runs(runs: Iterable[tuple[str, int]]) -> str:
 
 def delta_power(k: int) -> BraidWord:
     """The k-th power of the half twist D (k may be negative), as delta."""
-    return _Twisted(k, ()) if k else BraidWord()
+    return BraidWord((), k)
 
 
-def runs_permutation(runs: Iterable[tuple[str, int]]) -> tuple[int, int, int]:
-    """Images of strands (1, 2, 3) under a run sequence, read left to right;
-    only the parity of each exponent matters."""
-    img = IDENTITY_PERM
+def runs_permutation(runs: Iterable[tuple[str, int]], img=IDENTITY_PERM) -> tuple[int, int, int]:
+    """Images of strands (1, 2, 3) under img followed by a run sequence,
+    read left to right; only the parity of each exponent matters."""
     for gen, exp in runs:
         if exp % 2:
             t = _PERM[gen]
@@ -422,5 +407,4 @@ def parse(text: str) -> BraidWord:
             runs.extend(delta_runs(exp))
         else:
             delta += exp
-    word = _word(runs)
-    return _Twisted(delta, word.syllables) if delta else word
+    return _word(runs, delta)

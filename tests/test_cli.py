@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import braid3
@@ -468,6 +468,17 @@ class TestBatch:
         # the CSV opened before the output file is closed, not leaked
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_output_is_the_input(self, capsys, tmp_path):
+        # opening the output for writing would empty the CSV before it is read
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"name,word\nk,ab\nt,a^3 b^3\n")
+        before = src.read_bytes()
+        for dst in (src, tmp_path / "." / "in.csv"):
+            code, out, err = run(capsys, "batch", "--csv", str(src), "--out", str(dst))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and "--csv" in err
+            assert src.read_bytes() == before
+
     def test_non_utf8_file(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_bytes(b"name,word\nk,a\xff b\n")
@@ -514,6 +525,13 @@ class TestWordLengthGuard:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
 
+    def test_certificate_start_past_sys_maxsize(self, capsys, monkeypatch):
+        # a b^(2 * 10^20) has more letters than len() can return
+        monkeypatch.delenv("BRAID3_MAX_WORD_LEN", raising=False)
+        code, out, err = run(capsys, "certify", "a b", "--kind", "twist", "--n", str(10**20))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "BRAID3_MAX_WORD_LEN" in err
+
     def test_certificate_start_within_a_raised_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "1200003")
         code, out, _ = run(capsys, "certify", "a b", "--kind", "twist", "--n", "600000")
@@ -522,6 +540,53 @@ class TestWordLengthGuard:
         path.write_text(out)
         code, out, _ = run(capsys, "verify", "--cert", str(path))
         assert code == 0 and json.loads(out)["verified"] is True
+
+
+#: braid-word text: the grammar's letters, digits and signs, and junk
+ARGV_WORDS = st.text(
+    alphabet=st.sampled_from(list("abABD^-0123456789 ") + ["x", "\t", "+", "_", "é", "٣", "²"]),
+    max_size=14,
+)
+
+#: each command's flags, with a strategy for the value of those that take one
+ARGV_FLAGS = {
+    "normalize": [("--form", st.sampled_from(["garside", "murasugi", "other"])),
+                  ("--certificate", None), ("--json", None)],
+    "invariants": [("--json", None)],
+    "certify": [("--kind", st.sampled_from(["torus-sum", "twist", "other"])),
+                ("--n", st.integers(-10**21, 10**21).map(str) | ARGV_WORDS)],
+    "verify": [],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [command] + [draw(ARGV_WORDS) for _ in range(2 if command == "verify" else 1)]
+    for flag, values in ARGV_FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argv())
+    @example(argv=["certify", "a b", "--kind", "twist", "--n", str(10**20)])
+    def test_every_argv_exits_with_a_documented_code(self, monkeypatch, argv):
+        # a small limit keeps every example cheap; batch and --cert would write files
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "40")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestModuleEntryPoint:

@@ -364,3 +364,15 @@ class TestDeltaPrefix:
         assert parse("D^2 a") != parse("D^2 b") and parse("D^2 a") != parse("D^-2 a")
         assert parse("D^2 a") != parse("a b a^2 b a^2 b")
         assert len({parse("D^2"), parse("a b a^2 b a"), parse("aba aba")}) == 1
+
+    def test_mirror_keeps_delta_as_a_number(self, monkeypatch):
+        # the mirror of D^k t is D^-k times the mirrored tail, letter for letter
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "3000001")
+        mirrored = parse("D^-1000000 a").mirror()
+        assert mirrored.delta == 1000000 and mirrored.tail == parse("A").tail
+        assert mirrored == parse("D^1000000 A")
+
+    def test_a_plain_word_is_its_tail(self):
+        w = parse("a^2 B a")
+        assert w.delta == 0 and w.syllables is w.tail and "delta" not in vars(w)
+        assert (w * parse("A")).syllables == parse("a^2 B").tail
