@@ -72,6 +72,8 @@ def _form_json(form) -> dict:
 
 
 def report_json(report: InvariantReport) -> dict:
+    # one interval bounds all three distances, so the three keys share its dict
+    alt = _interval_json(report.alt)
     return {
         "word": report.word.display(),
         "components": report.components,
@@ -82,9 +84,9 @@ def report_json(report: InvariantReport) -> dict:
         "genus3": report.genus3,
         "genus4": report.genus4,
         "tau": report.tau,
-        "alt": _interval_json(report.alt),
-        "dalt": _interval_json(report.alt),
-        "turaev": _interval_json(report.alt),
+        "alt": alt,
+        "dalt": alt,
+        "turaev": alt,
         "minimal_r": report.minimal_r,
         "ballinger_t": report.ballinger_t,
         "fdtc": _frac(report.fdtc),

@@ -18,7 +18,6 @@ Sign conventions, fixed across the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .normal_form import (
     ConjugacyCertificate,
@@ -32,11 +31,10 @@ from .normal_form import (
     MurasugiGeneric,
     MurasugiTorus,
     garside_normal_form,
-    delta_exponent,
     murasugi_from_garside,
-    tail_runs,
+    realize,
 )
-from .words import KNOT_PERMS, BraidWord, Value, delta_runs, runs_permutation
+from .words import BraidWord, Value
 
 
 class NotAKnotError(ValueError):
@@ -63,12 +61,12 @@ class IntInterval(Value):
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
     # this rejects cases A and power, the half twist and case B with p = 2, so the
     # knot invariants below see only B, C, D, torus and generic forms.  The form's
-    # runs decide once per form object; kept on the form, the answer dies with it
+    # word decides once per form object; kept on the form, the answer dies with it
     attrs = vars(form)
-    if "_knot" not in attrs:
-        runs = chain(delta_runs(delta_exponent(form) & 1), tail_runs(form))
-        attrs["_knot"] = runs_permutation(runs) in KNOT_PERMS
-    if not attrs["_knot"]:
+    knot = attrs.get("_knot")
+    if knot is None:
+        knot = attrs["_knot"] = realize(form).is_knot()
+    if not knot:
         raise NotAKnotError(f"closure of {form} is not a knot")
 
 
@@ -140,9 +138,8 @@ def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
 
 
 def _positive_genus(form) -> int:
-    # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2,
-    # with writhe 3k + (tail exponents) for the displayed word D^k tail
-    wr = 3 * delta_exponent(form) + sum(e for _, e in tail_runs(form))
+    # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
+    wr = realize(form).writhe()
     if wr % 2:
         raise InternalInconsistencyError("odd writhe on a knot closure")
     return (wr - 2) // 2
@@ -270,7 +267,7 @@ class InvariantReport(Value):
     None.  `alt` bounds the alternation number, the dealternating number
     and the Turaev genus alike.  The read-only `flags` record, per reported field,
     'exact', 'interval' or 'absent', plus the provenance of the Rasmussen
-    value.
+    value; every link report holds the same flags object.
     """
 
     def __init__(
@@ -294,12 +291,12 @@ class InvariantReport(Value):
         )
 
 
-def _flag(value) -> str:
-    if isinstance(value, tuple):  # a Rasmussen (value, provenance) pair
-        return f"exact ({value[1]})"
-    if isinstance(value, IntInterval) and not value.exact:
-        return "interval"
-    return "absent" if value is None else "exact"
+#: the flags of every link report, where only the two quasimorphisms apply
+_LINK_FLAGS = _Flags(
+    fdtc="exact", homogenized_upsilon="exact", upsilon="absent", signature="absent",
+    s="absent", genus3="absent", genus4="absent", tau="absent", alt="absent",
+    dalt="absent", turaev="absent", minimal_r="absent",
+)
 
 
 def build_report(word: BraidWord) -> InvariantReport:
@@ -317,7 +314,8 @@ def build_report(word: BraidWord) -> InvariantReport:
     omega = fdtc(gform)
     h_ups = homogenized_upsilon(gform)
 
-    ups = sig = s_pair = gt = alt = min_r = None
+    ups = sig = s_val = g3 = g4 = tau_val = alt = min_r = t_val = gamma4 = None
+    flags = _LINK_FLAGS
     if knot:
         ups = upsilon(gform)
         ups_m = upsilon(mform)
@@ -340,16 +338,21 @@ def build_report(word: BraidWord) -> InvariantReport:
         gt = genus_tau(gform) or genus_tau(mform)
         alt = alternating_distances(gform)
         min_r = minimal_positive_switches(gform)
-    s_val = s_pair[0] if s_pair else None
-    g3, g4, tau_val = gt or (None, None, None)
-    t_val, gamma4 = derived_concordance(ups, sig) if knot else (None, None)
-
-    flags = _Flags({name: _flag(value) for name, value in (
-        ("fdtc", omega), ("homogenized_upsilon", h_ups), ("upsilon", ups),
-        ("signature", sig), ("s", s_pair), ("genus3", g3), ("genus4", g4),
-        ("tau", tau_val), ("alt", alt), ("dalt", alt), ("turaev", alt),
-        ("minimal_r", min_r),
-    )})
+        if s_pair:
+            s_val = s_pair[0]
+        if gt:
+            g3, g4, tau_val = gt
+        t_val, gamma4 = derived_concordance(ups, sig)
+        bound = "exact" if alt.exact else "interval"
+        flags = _Flags(
+            fdtc="exact", homogenized_upsilon="exact", upsilon="exact", signature="exact",
+            s=f"exact ({s_pair[1]})" if s_pair else "absent",
+            genus3="absent" if g3 is None else "exact",
+            genus4="absent" if g4 is None else "exact",
+            tau="absent" if tau_val is None else "exact",
+            alt=bound, dalt=bound, turaev=bound,
+            minimal_r="absent" if min_r is None else "exact",
+        )
 
     return InvariantReport(
         word=word,

@@ -202,15 +202,21 @@ def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
 
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     """The braid word displayed by a normal form, its D^k kept as the
-    word's delta; its syllables are those of the expanded word."""
-    return BraidWord(tuple(map(_syllable, tail_runs(form))), delta_exponent(form))
+    word's delta; its syllables are those of the expanded word.  Built once
+    per form object and kept in the form's own __dict__ (as
+    functools.cached_property would), so it lives exactly as long as the form."""
+    attrs = vars(form)
+    if "_word" not in attrs:
+        attrs["_word"] = BraidWord(tuple(map(_syllable, tail_runs(form))), delta_exponent(form))
+    return attrs["_word"]
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:
     """Input-grammar rendering, D-power first, e.g. 'D^-3 a^7'."""
-    k = delta_exponent(form)
+    word = realize(form)
+    k = word.delta
     parts = [] if k == 0 else ["D" if k == 1 else f"D^{k}"]
-    body = display_runs(tail_runs(form))
+    body = display_runs(word.tail)
     if body:
         parts.append(body)
     return " ".join(parts)
@@ -243,6 +249,9 @@ class DeltaSplit(Value):
 _BIT = {GEN_A: 0, GEN_B: 1}
 _GEN = (GEN_A, GEN_B)
 
+#: bit -> generator, and the same after an odd number of D^-1 (indexed by parity)
+_GEN_FLIP = (_GEN, _GEN[::-1])
+
 #: the half twist D = aba, as conjugator runs
 _D_RUNS = delta_runs(1)
 
@@ -260,25 +269,47 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
     odd, D^e = D^(e-1) aba puts one D into P.  P has 2 letters per inverse
     letter of the tail, plus 3 when e is odd, whatever delta is.  Pure word
     arithmetic, no conjugation.
+
+    One pass merges the runs of P into a list of stored bits and one of
+    exponents; every exponent is positive, so nothing cancels.  An inverse
+    run g^-n gives the letters x1 y1 x2 y2 ... xn yn with y_i = x_(i+1),
+    which merge into n + 1 runs x1^1 x2^2 ... xn^2 y_n^1.
     """
-    rel: list[tuple[int, int]] = []  # (generator bit XOR parity of m so far, exponent)
+    tail = word.tail
+    if all(exp > 0 for _, exp in tail):  # P is the tail, after D^(delta & 1)
+        e = word.delta
+        part = BraidWord(tail) if e else word
+        return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * part if e & 1 else part)
+    bits: list[int] = []  # generator bit XOR parity of m so far
+    exps: list[int] = []
     m = 0
-    for s in word.tail:
-        g = _BIT[s.gen]
-        if s.exp > 0:
-            rel.append((g ^ (m & 1), s.exp))
-            continue
-        for _ in range(-s.exp):
-            m += 1
-            x = g ^ (m & 1)
-            rel.append((x, 1))
-            rel.append((x ^ 1, 1))
+    for gen, exp in tail:
+        x = _BIT[gen] ^ (m & 1)
+        n = 0
+        if exp < 0:  # the first letter counts its own D^-1
+            n, exp, x = -exp, 1, x ^ 1
+            m += n
+        if bits and bits[-1] == x:
+            exps[-1] += exp
+        else:
+            bits.append(x)
+            exps.append(exp)
+        if n == 1:
+            bits.append(x ^ 1)
+            exps.append(1)
+        elif n:  # n - 1 squares, then a single, alternating from x ^ 1
+            bits += [x ^ 1, x] * (n >> 1) + [x ^ 1] * (n & 1)
+            exps += [2] * (n - 1)
+            exps.append(1)
     e, flip = word.delta - m, m & 1
-    if not m:  # a positive tail is its own positive part, after D^(e & 1)
-        tail = BraidWord(word.tail)
-        return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * tail if e & 1 else tail)
-    runs = list(delta_runs(e & 1)) + [(_GEN[x ^ flip], n) for x, n in rel]
-    return DeltaSplit(k=e >> 1, positive_part=_word(runs))
+    front = ()
+    if e & 1:  # D = a b a in front; its last a merges into a leading a-run of P
+        front = _D_RUNS
+        if bits[0] == flip:
+            front = _D_RUNS[:2]
+            exps[0] += 1
+    runs = zip(map(_GEN_FLIP[flip].__getitem__, bits), exps)
+    return DeltaSplit(k=e >> 1, positive_part=BraidWord(front + tuple(map(_syllable, runs))))
 
 
 # ---------------------------------------------------------------------------

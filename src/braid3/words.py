@@ -212,8 +212,12 @@ class BraidWord(Value):
         return sum(abs(e) for _, e in self.tail)
 
     def __bool__(self) -> bool:
-        # a tail can cancel the whole D block
-        return bool(self.syllables)
+        # a tail can cancel the whole D block; the expanded word is D^h's
+        # block (never empty) followed by rest, less a merged run
+        if not self.delta:
+            return bool(self.tail)
+        h, rest = self._seam
+        return bool(h or rest.tail)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         # both sides are merged, so only the runs at the seam combine: each

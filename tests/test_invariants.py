@@ -48,6 +48,16 @@ KNOT_ONLY_INVARIANTS = (
 )
 
 
+def _flag(value) -> str:
+    """The flag of one report field, read off its value: the rule the
+    report's flags are checked against."""
+    if isinstance(value, tuple):  # a Rasmussen (value, provenance) pair
+        return f"exact ({value[1]})"
+    if isinstance(value, IntInterval) and not value.exact:
+        return "interval"
+    return "absent" if value is None else "exact"
+
+
 def torus_word(q: int) -> BraidWord:
     """(ab)^q closes to the torus knot T(3, q) when gcd(q, 3) = 1."""
     return parse("ab") ** q
@@ -409,52 +419,85 @@ class TestReport:
         assert r.flags["upsilon"] == "absent"
 
     def test_one_knot_decision_per_form(self, monkeypatch):
-        # the knot-only invariants read the permutation of the form's runs; count those
+        # realize builds a form's word from tail_runs; count the builds, with
+        # the function that asked for the word
+        built = []
+        tail_runs = braid3.normal_form.tail_runs
+
+        def counted_tail_runs(form):
+            built.append((form, sys._getframe(2).f_code.co_name))
+            return tail_runs(form)
+
+        # BraidWord.is_knot is the one knot decision; count its calls
         decided = []
-        permutation = braid3.invariants.runs_permutation
+        is_knot = BraidWord.is_knot
 
-        def counted(runs):
-            runs = list(runs)
-            decided.append(runs)
-            return permutation(runs)
+        def counted_is_knot(word):
+            decided.append(word)
+            return is_knot(word)
 
-        # realize builds each form's word once, for its certificate, and nowhere else
-        realized = []
-
-        def counted_realize(form):
-            realized.append((form, sys._getframe(1).f_code.co_name))
-            return realize(form)
-
-        monkeypatch.setattr(braid3.invariants, "runs_permutation", counted)
-        monkeypatch.setattr(braid3.normal_form, "realize", counted_realize)
-        assert not hasattr(braid3.invariants, "realize")
+        monkeypatch.setattr(braid3.normal_form, "tail_runs", counted_tail_runs)
+        monkeypatch.setattr(BraidWord, "is_knot", counted_is_knot)
         r = build_report(parse("a^2 b^2 a^3 b^3"))
         assert r.is_knot
-        assert realized == [(r.garside, "_certified"), (r.murasugi, "_certified")]
-        assert [permutation(runs) for runs in decided] == [
-            realize(r.garside).permutation(), realize(r.murasugi).permutation(),
-        ]
+        # each form's word is built once, for its certificate, and is that
+        # certificate's target; the knot decision reads that same word once
+        assert built == [(r.garside, "_certified"), (r.murasugi, "_certified")]
+        words = [r.garside_certificate.target, r.murasugi_certificate.target]
+        assert [realize(r.garside), realize(r.murasugi)] == words
+        assert all(realize(f) is w for f, w in zip((r.garside, r.murasugi), words))
+        assert len(decided) == 2 and all(d is w for d, w in zip(decided, words))
         for form in (r.garside, r.murasugi):
             for invariant in KNOT_ONLY_INVARIANTS:
                 invariant(form)
-        assert len(decided) == 2
-        # the decision kept on a form leaves its equality and hash alone
-        fresh = garside(parse("a^2 b^2 a^3 b^3"))
-        assert r.garside == fresh and hash(r.garside) == hash(fresh)
+        assert len(decided) == 2 and len(built) == 2
         link = GarsideA(0, 2)
         for _ in range(2):
             with pytest.raises(NotAKnotError):
                 upsilon(link)
-        assert len(decided) == 3
+        assert len(decided) == 3 and built[2:] == [(link, "_require_knot")]
         # the genus of a positive form and the display of either form read the
-        # form's runs; neither builds its word again
-        del realized[:]
+        # word already built; neither builds it again
+        del built[:]
         assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
         assert rasmussen_s(r.garside) == (-8, "positive-braid")
         assert [form_display(f) for f in (r.garside, r.murasugi)] == [
             "a^3 b^2 a^2 b^3", "D^4 A b A^3 b",
         ]
-        assert realized == []
+        assert built == [] and len(decided) == 3
+        # the memos kept on a form leave its equality and hash alone
+        fresh = garside(parse("a^2 b^2 a^3 b^3"))
+        assert r.garside == fresh and hash(r.garside) == hash(fresh)
+
+    def test_flags_follow_the_per_field_rule(self):
+        link_flags = []
+        for w in reduced_words(6):
+            r = build_report(w)
+            s_pair = rasmussen_s(r.murasugi) if r.is_knot else None
+            assert (s_pair[0] if s_pair else None) == r.rasmussen_s
+            expected = [(name, _flag(value)) for name, value in (
+                ("fdtc", r.fdtc), ("homogenized_upsilon", r.homogenized_upsilon),
+                ("upsilon", r.upsilon), ("signature", r.signature), ("s", s_pair),
+                ("genus3", r.genus3), ("genus4", r.genus4), ("tau", r.tau),
+                ("alt", r.alt), ("dalt", r.alt), ("turaev", r.alt),
+                ("minimal_r", r.minimal_r),
+            )]
+            # the order is the order the JSON prints
+            assert list(r.flags.items()) == expected, w
+            if not r.is_knot:
+                link_flags.append(r.flags)
+        # every link report holds one flags object, and it stays read-only
+        shared = link_flags[0]
+        assert len(link_flags) > 700 and all(f is shared for f in link_flags)
+        for mutate in (
+            lambda f: f.__setitem__("upsilon", "exact"),
+            lambda f: f.update(upsilon="exact"),
+            lambda f: f.pop("upsilon"),
+            lambda f: f.clear(),
+        ):
+            with pytest.raises(TypeError):
+                mutate(shared)
+        assert shared["upsilon"] == "absent" and len(shared) == 12
 
     def test_unknot_closure(self):
         r = build_report(parse("A b"))

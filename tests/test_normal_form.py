@@ -110,8 +110,8 @@ class TestDeltaPositiveSplit:
     def test_positive_words_with_delta_prefixes(self):
         # a positive tail needs no substitution: P is D^(k & 1) times the tail,
         # as the general path builds it; checked on every positive word of
-        # length <= 8 and on the reduced words of length <= 5 alike
-        words = list(positive_words(8)) + list(reduced_words(5))
+        # length <= 8 and on the reduced words of length <= 7 alike
+        words = list(positive_words(8)) + list(reduced_words(7))
         for tail in words:
             for k in range(-3, 4):
                 w = parse(f"D^{k} {tail.display()}") if k else tail

@@ -372,6 +372,16 @@ class TestDeltaPrefix:
         assert mirrored.delta == 1000000 and mirrored.tail == parse("A").tail
         assert mirrored == parse("D^1000000 A")
 
+    def test_truth_reads_the_seam_not_the_expansion(self, monkeypatch):
+        # bool needs only whether the expanded word is empty, which the seam
+        # says without building the 2*10^6 runs of the block
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "3000001")
+        w = parse("D^-1000000 a")
+        assert bool(w) and "syllables" not in vars(w)
+        cancelled = parse("D^2 A B A^2 B A")
+        assert not cancelled and "syllables" not in vars(cancelled)
+        assert cancelled.syllables == ()
+
     def test_a_plain_word_is_its_tail(self):
         w = parse("a^2 B a")
         assert w.delta == 0 and w.syllables is w.tail and "delta" not in vars(w)
