@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .invariants import upsilon
 from .normal_form import InternalInconsistencyError, garside_normal_form
-from .words import GEN_A, GEN_B, BraidWord, Value, _word
+from .words import GEN_A, GEN_B, BraidWord, Value, _syllable, _word
 
 
 class PreconditionError(ValueError):
@@ -29,13 +29,18 @@ INSERT = "insert_generator"
 DELETE = "delete_generator"
 SPLIT = "split_to_connected_sum"
 
+_KINDS = frozenset((INSERT, DELETE, SPLIT))
+
 
 class SaddleMove(Value):
     """One 1-handle attachment; every kind costs Euler characteristic 1."""
 
     def __init__(self, kind: str, position: int, generator: str):
-        if kind not in (INSERT, DELETE, SPLIT):
+        # a kind read from JSON may be a list, which a set cannot look up
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown saddle kind {kind}")
+        if generator not in (GEN_A, GEN_B):
+            raise ValueError(f"unknown generator {generator!r}")
         self.__dict__.update(kind=kind, position=position, generator=generator)
 
 
@@ -75,12 +80,16 @@ class ConnectedSum(Value):
         self.__dict__["factors"] = factors
 
     def upsilon(self) -> int:
-        return sum(f.upsilon() for f in self.factors)
+        total = 0
+        for f in self.factors:
+            total += f.upsilon()
+        return total
 
     def is_knot(self) -> bool:
-        return all(
-            isinstance(f, TorusFactor) or f.word.is_knot() for f in self.factors
-        )
+        for f in self.factors:
+            if not isinstance(f, TorusFactor) and not f.word.is_knot():
+                return False
+        return True
 
     def display(self) -> str:
         return " # ".join(f.display() for f in self.factors)
@@ -118,15 +127,15 @@ def _cyclic_positive_normalize(word: BraidWord) -> BraidWord:
     """Rotate a positive word whose closure is a knot, so that it uses both
     generators, into the shape a^p1 b^q1 ... a^pr b^qr (a conjugation, so
     the closure is unchanged)."""
-    if any(s.exp < 0 for s in word):
+    runs = word.syllables
+    if any(e < 0 for _, e in runs):
         raise PreconditionError("word must be positive")
-    runs = [[g, e] for g, e in word]
-    if runs[0][0] == runs[-1][0]:
-        head = runs.pop()
-        runs[0][1] += head[1]
-    if runs[0][0] == GEN_B:
+    (first, p), (last, q) = runs[0], runs[-1]
+    if first == last:  # the seam of the rotation merges them
+        runs = (_syllable((first, p + q)),) + runs[1:-1]
+    if first == GEN_B:
         runs = runs[1:] + runs[:1]
-    return _word(runs)
+    return BraidWord(runs)
 
 
 def torus_sum_cobordism(word: BraidWord) -> CobordismCertificate:

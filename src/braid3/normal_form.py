@@ -35,7 +35,8 @@ largest leading exponent and break ties by the lexicographically smallest
 full sequence.  Murasugi generic forms rotate by whole (a^-p, b^q) pairs
 and take the lexicographically smallest flattened sequence.  Both are
 found with Booth's least-rotation scan (Booth, "Lexicographically least
-circular substrings", IPL 1980).
+circular substrings", IPL 1980); the Garside scan runs only when the
+largest exponent is tied, since otherwise it leads exactly one rotation.
 """
 
 from __future__ import annotations
@@ -323,28 +324,40 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
     exposes one; return the new n and the generator bits and exponents of
     the tail, whose runs alternate between the generators.
 
-    One left-to-right pass pushes the runs onto a stack.  Every stack run
-    strictly between the bottom and the one below the top has exponent
-    >= 2, so when the run below the top is a single h between g-runs,
-    g h g = D is extracted there: u D v = D tau(u) v moves it to the front
-    and exchanges the generators of the stack below.  An entry stores its
-    generator bit XOR the parity of n when pushed, so that exchange is
-    n += 1.
+    One left-to-right pass reads the runs by index and pushes them onto a
+    stack; at most one run waits outside it, held as a generator bit and an
+    exponent.  Every stack run strictly between the bottom and the one below
+    the top has exponent >= 2, so when the run below the top is a single h
+    between g-runs, g h g = D is extracted there: u D v = D tau(u) v moves it
+    to the front and exchanges the generators of the stack below.  An entry
+    stores its generator bit XOR the parity of n when pushed, so that
+    exchange is n += 1.  The rest of the extracted top run waits.
 
     When the input is used up, the tail still has a half twist exactly
     when its rotation through D^n does: a single at the bottom or the top
     of the stack whose seam does not merge the two boundary runs.  The pass
     then continues by rotating the bottom letter onto the top, conjugating
-    it through D^n.  Each extraction removes three letters and follows at
-    most two such rotations, so the work is linear in the letter count.
+    it through D^n; that letter waits.  Each extraction removes three letters
+    and follows at most two such rotations, so the work is linear in the
+    letter count.  The stacks are deques because a rotation deletes at the
+    bottom.
     """
     bits: deque[int] = deque()  # generator bit XOR parity of n at push
     exps: deque[int] = deque()
-    pending = deque((_BIT[g], e) for g, e in positive)  # actual generator bits
+    runs = positive.tail
+    i, count = 0, len(runs)
+    g = wait = 0  # the waiting run, pushed before runs[i] when wait > 0: actual bit, exponent
     idle = 0  # rotations since the last extraction
     while True:
-        while pending:
-            g, e = pending.popleft()
+        while True:
+            if wait:
+                e, wait = wait, 0
+            elif i < count:
+                gen, e = runs[i]
+                g = _BIT[gen]
+                i += 1
+            else:
+                break
             if bits and bits[-1] ^ (n & 1) == g:
                 exps[-1] += e
             else:
@@ -358,7 +371,7 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
                 else:
                     exps[-1] -= 1
                 if e > 1:
-                    pending.appendleft((top ^ (n & 1), e - 1))
+                    g, wait = top ^ (n & 1), e - 1
                 n += 1
                 idle = 0
         # a seam that merges the boundary runs, or a tail of at most two
@@ -381,7 +394,7 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
         else:
             exps[0] -= 1
         # through D^n the letter's generator becomes its stored bit
-        pending.append((bottom, 1))
+        g, wait = bottom, 1
         pieces.append(((_GEN[bottom], -1),))
     return n, [b ^ (n & 1) for b in bits], list(exps)
 
@@ -410,7 +423,8 @@ def _least_rotation(seq: list) -> int:
 
 def _canonical_shift(seq: list[int]) -> int:
     """Index of the canonical rotation: maximal leading exponent, then
-    lexicographically smallest full sequence.
+    lexicographically smallest full sequence.  A maximum that occurs once
+    leads the only candidate.
 
     The candidates start where the maximum M sits, so cut the cyclic
     sequence into blocks that each start with M and hold no other M.  Two
@@ -421,6 +435,8 @@ def _canonical_shift(seq: list[int]) -> int:
     distinct blocks and take the least rotation of the ranks.
     """
     top = max(seq)
+    if seq.count(top) == 1:
+        return seq.index(top)
     starts = [i for i, e in enumerate(seq) if e == top]
     ends = starts[1:] + [starts[0] + len(seq)]
     doubled = seq + seq
@@ -491,14 +507,17 @@ def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertific
     split = delta_positive_split(word)
     pieces: list[tuple[tuple[str, int], ...]] = []  # conjugating words, in order
     form = _classify(*_extract_half_twists(2 * split.k, split.positive_part, pieces), pieces)
-    return form, _certified(word, form, pieces, "normal-form")
+    return form, _certified(word, form, _conjugator(pieces), "normal-form")
 
 
-def _certified(source: BraidWord, form, pieces: list, what: str) -> ConjugacyCertificate:
-    """The certificate taking source to the realized form by the pieces,
-    multiplied last first; the oracle checks it and a failure raises
-    InternalInconsistencyError."""
-    conj = _word(chain.from_iterable(reversed(pieces)))
+def _conjugator(pieces: list) -> BraidWord:
+    """The pieces multiplied last first, merged."""
+    return _word(chain.from_iterable(reversed(pieces)))
+
+
+def _certified(source: BraidWord, form, conj: BraidWord, what: str) -> ConjugacyCertificate:
+    """The certificate taking source to the realized form by conj; the
+    oracle checks it and a failure raises InternalInconsistencyError."""
     cert = ConjugacyCertificate(conj, source, realize(form))
     if not cert.verify():
         raise InternalInconsistencyError(f"{what} certificate failed for {source.display()!r}")
@@ -554,7 +573,7 @@ def murasugi_from_garside(
     gform: GarsideForm, gcert: ConjugacyCertificate
 ) -> tuple[MurasugiForm, ConjugacyCertificate]:
     """Convert an already classified Garside form; see murasugi_normal_form."""
-    pieces: list = [gcert.conjugator]  # the conversion conjugates on top of it
+    pieces: list = []  # the conversion, which conjugates on top of gcert's
     if isinstance(gform, GarsideA):
         mform: MurasugiForm = MurasugiPower(gform.ell, gform.p)
     elif isinstance(gform, GarsideB):
@@ -571,4 +590,6 @@ def murasugi_from_garside(
             pieces.append(delta_runs(-1))
         pieces.append(((GEN_B, 1),))  # the conversion is b, or b D^-1 for case D
         mform = _generic_from_slots(gform.ell + gform.r, slots, pieces)
-    return mform, _certified(gcert.source, mform, pieces, "conversion")
+    # both factors are merged, so only their seam can merge
+    conj = _conjugator(pieces) * gcert.conjugator
+    return mform, _certified(gcert.source, mform, conj, "conversion")

@@ -373,6 +373,7 @@ def parse(text: str) -> BraidWord:
     runs: list[tuple[str, int]] = []
     delta = 0
     limit = max_word_len()
+    width = len(str(limit))
     total = 0
     i, n = 0, len(text)
     while i < n:
@@ -396,7 +397,7 @@ def parse(text: str) -> BraidWord:
             digits = text[start:i].lstrip("-").lstrip("0")
             # more digits than the limit has exceed it whatever they are, and
             # int() refuses strings past sys.get_int_max_str_digits()
-            if len(digits) > len(str(limit)):
+            if len(digits) > width:
                 raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
             if not digits:
                 raise ParseError("zero exponent not allowed", start + 1)

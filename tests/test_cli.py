@@ -302,6 +302,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "bad certificate" in err
 
+    @pytest.mark.parametrize("generator", ["c", ["a"]])
+    def test_unknown_move_generator(self, capsys, tmp_path, generator):
+        _, out, _ = run(capsys, "certify", "a^2 b^2 a^3 b^3", "--kind", "torus-sum")
+        data = json.loads(out)
+        data["moves"][0]["generator"] = generator
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"bad certificate {path}: ValueError: unknown generator {generator!r}"
+        ]
+
     def test_unknown_end_factor_type(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "a^3 b", "--kind", "twist", "--n", "1")
         data = json.loads(out)

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braid3.normal_form
 from braid3.burau import conjugates_to, words_equal
 from braid3.normal_form import (
     ConjugacyCertificate,
@@ -12,11 +14,15 @@ from braid3.normal_form import (
     GarsideB,
     GarsideC,
     GarsideD,
+    InternalInconsistencyError,
     MurasugiGeneric,
     MurasugiHalfTwist,
     MurasugiPower,
     MurasugiTorus,
+    _BIT,
+    _GEN,
     _canonical_shift,
+    _extract_half_twists,
     _least_rotation,
     delta_exponent,
     delta_positive_split,
@@ -26,7 +32,7 @@ from braid3.normal_form import (
     murasugi_normal_form,
     realize,
 )
-from braid3.words import BraidWord, delta_power, delta_runs, parse
+from braid3.words import BraidWord, _word, delta_power, delta_runs, parse
 
 import burau_reference
 from conftest import LETTER_RUNS, random_word, reduced_words
@@ -387,6 +393,19 @@ def _reduced_word(rng, length):
     return BraidWord.from_runs(letters)
 
 
+def long_cases():
+    """(word, Garside form, Murasugi form) for words of 20 000 to 30 000
+    letters; the forms are None where they were not worked out by hand."""
+    return [
+        (parse("A^20000 b^3"), GarsideC(-10000, ((5, 2),) + ((2, 2),) * 9999),
+         MurasugiGeneric(0, ((20000, 3),))),
+        (parse("D^-10000 a"), GarsideA(-5000, 1), MurasugiPower(-5000, 1)),
+        (parse("a^2 b^2") ** 5000, GarsideC(0, ((2, 2),) * 5000), MurasugiPower(5000, -10000)),
+        (parse("ab") ** 15000, GarsideA(5000, 0), MurasugiPower(5000, 0)),
+        (_reduced_word(random.Random(30000), 30000), None, None),
+    ]
+
+
 class TestLongInputs:
     """Words far beyond the sweep.  Classifying is linear in the letter
     count, so these take seconds; no timing is asserted."""
@@ -400,14 +419,7 @@ class TestLongInputs:
             return verdicts[-1]
 
         monkeypatch.setattr(ConjugacyCertificate, "verify", recording)
-        cases = [
-            (parse("A^20000 b^3"), GarsideC(-10000, ((5, 2),) + ((2, 2),) * 9999),
-             MurasugiGeneric(0, ((20000, 3),))),
-            (parse("D^-10000 a"), GarsideA(-5000, 1), MurasugiPower(-5000, 1)),
-            (parse("a^2 b^2") ** 5000, GarsideC(0, ((2, 2),) * 5000), MurasugiPower(5000, -10000)),
-            (parse("ab") ** 15000, GarsideA(5000, 0), MurasugiPower(5000, 0)),
-            (_reduced_word(random.Random(30000), 30000), None, None),
-        ]
+        cases = long_cases()
         for word, garside, murasugi in cases:
             gform, gcert = garside_normal_form(word)
             mform, _ = murasugi_from_garside(gform, gcert)
@@ -434,3 +446,112 @@ class TestLongInputs:
             assert gcert.verify() and mcert.verify()
             assert gcert.target.delta == delta_exponent(gform)
             assert form_display(gform) == text
+
+
+def reference_extract_half_twists(n, positive, pieces):
+    """_extract_half_twists as it was with a queue of (bit, exponent) runs
+    still to push: the runs of the input first, then the rest of a run after
+    an extraction, in front, or the bottom letter after a rotation."""
+    bits, exps = deque(), deque()
+    pending = deque((_BIT[g], e) for g, e in positive)
+    idle = 0
+    while True:
+        while pending:
+            g, e = pending.popleft()
+            if bits and bits[-1] ^ (n & 1) == g:
+                exps[-1] += e
+            else:
+                bits.append(g ^ (n & 1))
+                exps.append(e)
+            if len(exps) >= 3 and exps[-2] == 1:
+                top, e = bits.pop(), exps.pop()
+                del bits[-1], exps[-1]
+                if exps[-1] == 1:
+                    del bits[-1], exps[-1]
+                else:
+                    exps[-1] -= 1
+                if e > 1:
+                    pending.appendleft((top ^ (n & 1), e - 1))
+                n += 1
+                idle = 0
+        if (
+            len(exps) < 2
+            or len(exps) % 2 != n % 2
+            or (len(exps) == 2 and exps[0] + exps[1] < 3)
+            or (exps[0] > 1 and exps[-1] > 1)
+        ):
+            break
+        idle += 1
+        if idle > 2:
+            raise InternalInconsistencyError("expected half twist did not surface under rotation")
+        bottom = bits[0]
+        if exps[0] == 1:
+            del bits[0], exps[0]
+        else:
+            exps[0] -= 1
+        pending.append((bottom, 1))
+        pieces.append(((_GEN[bottom], -1),))
+    return n, [b ^ (n & 1) for b in bits], list(exps)
+
+
+class TestHalfTwistExtraction:
+    """The extraction reads the runs by index and keeps the one waiting run
+    in two locals; it must agree with the queue-based reference, pieces too."""
+
+    @staticmethod
+    def assert_matches_reference(word):
+        split = delta_positive_split(word)
+        got, want = [], []
+        assert (_extract_half_twists(2 * split.k, split.positive_part, got)
+                == reference_extract_half_twists(2 * split.k, split.positive_part, want)), word
+        assert got == want, word
+
+    def test_every_short_reduced_word(self):
+        for w in reduced_words(7):
+            self.assert_matches_reference(w)
+
+    def test_random_words(self, rng):
+        for _ in range(500):
+            self.assert_matches_reference(random_word(rng, rng.randrange(0, 61)))
+
+    def test_long_inputs(self):
+        for word, _, _ in long_cases():
+            self.assert_matches_reference(word)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """The pieces list of every _conjugator call, in order."""
+    recorded = []
+    conjugator = braid3.normal_form._conjugator
+
+    def recording(pieces):
+        recorded.append(list(pieces))
+        return conjugator(pieces)
+
+    monkeypatch.setattr(braid3.normal_form, "_conjugator", recording)
+    return recorded
+
+
+class TestMurasugiConjugator:
+    """murasugi_from_garside merges the conversion onto the Garside
+    conjugator at their seam only; the word must be the full merge of the
+    conversion runs followed by the Garside conjugator's runs."""
+
+    @staticmethod
+    def assert_full_merge(word, conversions):
+        gform, gcert = garside_normal_form(word)
+        _, mcert = murasugi_from_garside(gform, gcert)
+        conversion = itertools.chain.from_iterable(reversed(conversions[-1]))
+        full = _word(itertools.chain(conversion, gcert.conjugator.syllables))
+        assert mcert.conjugator.delta == 0
+        assert mcert.conjugator.tail == full.tail, word
+        assert mcert.conjugator.display() == full.display()
+
+    def test_random_words(self, rng, conversions):
+        for _ in range(300):
+            self.assert_full_merge(random_word(rng, rng.randrange(0, 41)), conversions)
+
+    def test_long_inputs(self, conversions):
+        for word, _, _ in long_cases():
+            self.assert_full_merge(word, conversions)

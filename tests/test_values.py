@@ -150,6 +150,9 @@ def test_equal_fields_in_other_classes_are_unequal():
     (lambda: MurasugiGeneric(0, ((0, 1),)), "generic form needs all exponents >= 1"),
     (lambda: IntInterval(1, 0), "empty interval"),
     (lambda: SaddleMove("twist", 0, "a"), "unknown saddle kind twist"),
+    (lambda: SaddleMove(["twist"], 0, "a"), "unknown saddle kind ['twist']"),
+    (lambda: SaddleMove("insert_generator", 0, "c"), "unknown generator 'c'"),
+    (lambda: SaddleMove("insert_generator", 0, ["a"]), "unknown generator ['a']"),
     (lambda: TorusFactor(4), "torus factor parameter must be odd and positive"),
     (lambda: TorusFactor(-1), "torus factor parameter must be odd and positive"),
 ])
