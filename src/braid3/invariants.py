@@ -77,29 +77,23 @@ def _halved(total: int) -> int:
     return total // 2
 
 
-def _garside_total(form: GarsideC | GarsideD) -> int:
-    """Sum(p + q), plus p_r + 3 for case D: upsilon = r - 2l - total/2 on C and D."""
-    total = sum(p + q for p, q in form.pairs)
-    return total + form.p_r + 3 if isinstance(form, GarsideD) else total
+def _twice_garside_upsilon(form: GarsideC | GarsideD) -> int:
+    """2r - 4l - Sum(p + q), less p_r + 3 for case D: twice upsilon on C and D."""
+    twice = 2 * form.r - 4 * form.ell - sum(p + q for p, q in form.pairs)
+    return twice - form.p_r - 3 if isinstance(form, GarsideD) else twice
 
 
-def _torus_family(form: GarsideB | MurasugiTorus) -> tuple[int, int]:
-    """(ell, k) with the closure +-T(3, 3*ell + k); k in {1, 2}."""
+def _torus(form: GarsideB | MurasugiTorus) -> tuple[int, int, int]:
+    """(m, j, sign) with the closure sign * T(3, 3m + j); m >= 0, j in {1, 2}."""
     # callers run _require_knot first, which rejects the half-twist class p = 2
     if isinstance(form, GarsideB):
         k = 1 if form.p == 1 else 2
     else:
         k = 1 if form.variant == "ab" else 2
-    return form.ell, k
-
-
-def _torus_upsilon(ell: int, k: int) -> int:
-    # positive families: upsilon(T(3,3m+1)) = -2m, upsilon(T(3,3m+2)) = -2m-1;
+    if form.ell >= 0:
+        return form.ell, k, 1
     # for ell < 0 the closure is the mirror of the complementary family
-    if ell >= 0:
-        return -2 * ell if k == 1 else -2 * ell - 1
-    m = -ell - 1
-    return 2 * m + 1 if k == 1 else 2 * m
+    return -form.ell - 1, 3 - k, -1
 
 
 def upsilon(form: GarsideForm | MurasugiForm) -> int:
@@ -108,26 +102,25 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
     if isinstance(form, MurasugiGeneric):
         return _halved(sum(p - q for p, q in form.pairs)) - 2 * form.ell
     if isinstance(form, (GarsideB, MurasugiTorus)):
-        return _torus_upsilon(*_torus_family(form))
-    return form.r - 2 * form.ell - _halved(_garside_total(form))
+        # upsilon(T(3, 3m + 1)) = -2m, upsilon(T(3, 3m + 2)) = -2m - 1
+        m, j, sign = _torus(form)
+        return -sign * (2 * m + j - 1)
+    return _halved(_twice_garside_upsilon(form))
 
 
 def signature(form: GarsideForm | MurasugiForm) -> int:
-    """Classical knot signature of the closure, sigma(T(3,2)) = -2."""
-    _require_knot(form)
-    if isinstance(form, MurasugiGeneric):
-        return sum(p - q for p, q in form.pairs) - 4 * form.ell
+    """Classical knot signature of the closure, sigma(T(3,2)) = -2.
+
+    Read off upsilon, which is sigma/2 on alternating knots
+    (Ozsvath-Stipsicz-Szabo 2017): sigma = 2 upsilon on every 3-braid knot
+    but the torus knots T(3, 3m + j) with m odd, where sigma is 2 further
+    from 0.
+    """
+    sig = 2 * upsilon(form)
     if isinstance(form, (GarsideB, MurasugiTorus)):
-        ell, k = _torus_family(form)
-        ups = _torus_upsilon(ell, k)
-        if ell > 0 and ell % 2 == 1:
-            return 2 * ups - 2
-        if ell < 0 and (-ell - 1) % 2 == 1:
-            return 2 * ups + 2
-        return 2 * ups
-    # cases C and D contain no braid-index-3 torus closures, so the
-    # exceptional signature correction never applies here
-    return 2 * upsilon(form)
+        m, _, sign = _torus(form)
+        sig -= 2 * sign * (m % 2)
+    return sig
 
 
 def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
@@ -153,12 +146,12 @@ def rasmussen_s(form: GarsideForm | MurasugiForm) -> tuple[int, str] | None:
     """
     _require_knot(form)
     if isinstance(form, MurasugiGeneric):
-        diff = sum(p - q for p, q in form.pairs)
+        s = 2 * upsilon(form) - 2 * form.ell
         if form.ell > 0:
-            return diff - 6 * form.ell + 2, "quasipositive-twist"
+            return s + 2, "quasipositive-twist"
         if form.ell < 0:
-            return diff - 6 * form.ell - 2, "quasinegative-twist"
-        return diff, "alternating"
+            return s - 2, "quasinegative-twist"
+        return s, "alternating"
     if _is_positive_form(form):
         return -2 * _positive_genus(form), "positive-braid"
     return None
@@ -176,7 +169,7 @@ def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None,
         g = _positive_genus(form)
         return g, g, g
     if isinstance(form, MurasugiGeneric) and form.ell == 0:
-        return None, None, -signature(form) // 2
+        return None, None, -upsilon(form)
     return None
 
 
@@ -193,7 +186,7 @@ def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
     """
     _require_knot(form)
     if isinstance(form, (GarsideB, MurasugiTorus)):
-        return IntInterval.point(form.ell if form.ell >= 0 else -form.ell - 1)
+        return IntInterval.point(_torus(form)[0])
     if isinstance(form, (GarsideC, GarsideD)):
         twist = form.ell + form.r
         return IntInterval.point(twist - 1) if form.ell >= 0 else _twist_interval(twist)
@@ -229,20 +222,13 @@ def homogenized_upsilon(form: GarsideForm) -> Fraction:
     if isinstance(form, GarsideB):
         return Fraction(-form.p - 1 - 6 * form.ell, 3)
     if isinstance(form, (GarsideC, GarsideD)):
-        return Fraction(2 * form.r - 4 * form.ell - _garside_total(form), 2)
+        return Fraction(_twice_garside_upsilon(form), 2)
     raise TypeError(f"homogenized_upsilon expects a Garside form, got {form!r}")
 
 
 def derived_concordance(ups: int, sig: int) -> tuple[int, int]:
     """(Ballinger t, lower bound for the nonorientable 4-genus)."""
     return -2 * ups, abs(ups - sig // 2)
-
-
-def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | None:
-    """Best cobordism slope bound on the upsilon function; positive braid
-    closures only, where it is tight at the right endpoint."""
-    _require_knot(form)
-    return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
 class _Flags(dict):
@@ -324,14 +310,6 @@ def build_report(word: BraidWord) -> InvariantReport:
                 f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
             )
         sig = signature(mform)
-        if signature(gform) != sig:
-            raise InternalInconsistencyError(
-                f"signature disagreement on {word.display()!r}"
-            )
-        if sig % 2:
-            raise InternalInconsistencyError(
-                f"odd signature {sig} on {word.display()!r}"
-            )
         # a Murasugi torus form comes only from a Garside B form with the same
         # ell, so the Garside side has no s value when the Murasugi side has none
         s_pair = rasmussen_s(mform)

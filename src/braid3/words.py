@@ -42,8 +42,11 @@ _PERM = {GEN_A: (2, 1, 3), GEN_B: (1, 3, 2)}
 
 IDENTITY_PERM = (1, 2, 3)
 
-#: the permutations whose closure has one component: the two 3-cycles
-KNOT_PERMS = frozenset({(2, 3, 1), (3, 1, 2)})
+#: permutation -> number of closure components, its number of cycles: the
+#: identity 3, the three transpositions 2, the two 3-cycles (knots) 1
+_COMPONENTS = {
+    IDENTITY_PERM: 3, (2, 1, 3): 2, (1, 3, 2): 2, (3, 2, 1): 2, (2, 3, 1): 1, (3, 1, 2): 1,
+}
 
 DEFAULT_MAX_WORD_LEN = 10**6
 
@@ -263,10 +266,10 @@ class BraidWord(Value):
 
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
-        return len(cycle_type(self.permutation()))
+        return _COMPONENTS[self.permutation()]
 
     def is_knot(self) -> bool:
-        return self.permutation() in KNOT_PERMS
+        return _COMPONENTS[self.permutation()] == 1
 
     def display(self) -> str:
         """Render in the input grammar (A/B for inverse runs), space separated."""
@@ -323,22 +326,6 @@ def runs_permutation(runs: Iterable[tuple[str, int]], img=IDENTITY_PERM) -> tupl
             t = _PERM[gen]
             img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
     return img
-
-
-def cycle_type(perm: tuple[int, int, int]) -> tuple[int, ...]:
-    """Cycle lengths of a permutation of {1,2,3}, sorted descending."""
-    seen = [False, False, False]
-    lengths = []
-    for start in (1, 2, 3):
-        if seen[start - 1]:
-            continue
-        n, cur = 0, start
-        while not seen[cur - 1]:
-            seen[cur - 1] = True
-            cur = perm[cur - 1]
-            n += 1
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def max_word_len() -> int:

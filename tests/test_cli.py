@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import braid3
 import braid3.cli
 import braid3.cobordism
+import braid3.invariants
+import braid3.words
 from braid3 import build_report, parse
 from braid3.cli import main, report_json
 from braid3.cobordism import torus_sum_cobordism, twist_trick
@@ -93,6 +95,18 @@ class TestInvariants:
         assert data["upsilon"] == -2 and data["signature"] == -6
         assert data["genus3"] == 3 and data["alt"] == {"lo": 1, "hi": 1, "exact": True}
         assert data["fdtc"] == "4/3"
+
+    def test_upsilon_disagreement_exit_code(self, capsys, monkeypatch):
+        # the Garside/Murasugi upsilon cross-check is an internal error: exit 4
+        real = braid3.invariants.upsilon
+
+        def skewed(form):
+            return real(form) + isinstance(form, (braid3.MurasugiGeneric, braid3.MurasugiTorus))
+
+        monkeypatch.setattr(braid3.invariants, "upsilon", skewed)
+        code, out, err = run(capsys, "invariants", "a^2 b^2 a^3 b^3")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and "upsilon disagreement" in err
 
     def test_unknot_closure(self, capsys):
         _, out, _ = run(capsys, "invariants", "--json", "A b")
@@ -643,5 +657,9 @@ class TestPublicNames:
     def test_removed_names_are_gone(self):
         for name in ("alternating_distance_genus_bounds", "AlternatingGenusBounds", "_witness_word"):
             assert not hasattr(braid3, name) and not hasattr(braid3.cobordism, name)
+        assert not hasattr(braid3, "upsilon_upper_bound_slope")
+        assert not hasattr(braid3.invariants, "upsilon_upper_bound_slope")
+        for name in ("cycle_type", "KNOT_PERMS"):
+            assert not hasattr(braid3.words, name)
         assert set(braid3.DeltaSplit._fields) == {"k", "positive_part"}
         assert not hasattr(braid3.DeltaSplit, "verify")

@@ -20,13 +20,13 @@ from braid3.invariants import (
     rasmussen_s,
     signature,
     upsilon,
-    upsilon_upper_bound_slope,
 )
 from braid3.normal_form import (
     GarsideA,
     GarsideB,
     GarsideC,
     GarsideD,
+    InternalInconsistencyError,
     MurasugiGeneric,
     MurasugiHalfTwist,
     MurasugiPower,
@@ -44,7 +44,7 @@ from conftest import random_word, reduced_words
 #: the invariants defined on knot closures only
 KNOT_ONLY_INVARIANTS = (
     upsilon, signature, rasmussen_s, genus_tau, alternating_distances,
-    minimal_positive_switches, upsilon_upper_bound_slope,
+    minimal_positive_switches,
 )
 
 
@@ -381,24 +381,114 @@ class TestDerivedConcordance:
                 assert g4 == 0
 
 
-class TestSlopeBound:
-    def test_examples(self):
-        assert upsilon_upper_bound_slope(garside(parse("a^3 b^3"))) == -2
-        assert upsilon_upper_bound_slope(GarsideD(0, (), 3)) == -2
-        assert upsilon_upper_bound_slope(GarsideC(1, ((3, 3),))) == -4
+# The expressions each invariant had before every one of them read upsilon,
+# kept as references for the expressions that replaced them.
 
-    def test_matches_upsilon_on_positive_knots(self, rng):
-        for _ in range(100):
-            form = GarsideC(
-                rng.randint(0, 2),
-                tuple((rng.randint(2, 5), rng.randint(2, 5)) for _ in range(rng.randint(1, 3))),
-            )
-            if not realize(form).is_knot():
+
+def _ref_torus_family(form) -> tuple[int, int]:
+    """(ell, k) with the closure +-T(3, 3*ell + k); k in {1, 2}."""
+    if isinstance(form, GarsideB):
+        k = 1 if form.p == 1 else 2
+    else:
+        k = 1 if form.variant == "ab" else 2
+    return form.ell, k
+
+
+def _ref_torus_upsilon(ell: int, k: int) -> int:
+    if ell >= 0:
+        return -2 * ell if k == 1 else -2 * ell - 1
+    m = -ell - 1
+    return 2 * m + 1 if k == 1 else 2 * m
+
+
+def _ref_garside_total(form) -> int:
+    total = sum(p + q for p, q in form.pairs)
+    return total + form.p_r + 3 if isinstance(form, GarsideD) else total
+
+
+def _ref_upsilon(form) -> int:
+    if isinstance(form, MurasugiGeneric):
+        diff = sum(p - q for p, q in form.pairs)
+        assert diff % 2 == 0
+        return diff // 2 - 2 * form.ell
+    if isinstance(form, (GarsideB, MurasugiTorus)):
+        return _ref_torus_upsilon(*_ref_torus_family(form))
+    total = _ref_garside_total(form)
+    assert total % 2 == 0
+    return form.r - 2 * form.ell - total // 2
+
+
+def _ref_signature(form) -> int:
+    if isinstance(form, MurasugiGeneric):
+        return sum(p - q for p, q in form.pairs) - 4 * form.ell
+    if isinstance(form, (GarsideB, MurasugiTorus)):
+        ell, k = _ref_torus_family(form)
+        ups = _ref_torus_upsilon(ell, k)
+        if ell > 0 and ell % 2 == 1:
+            return 2 * ups - 2
+        if ell < 0 and (-ell - 1) % 2 == 1:
+            return 2 * ups + 2
+        return 2 * ups
+    return 2 * _ref_upsilon(form)
+
+
+def _ref_generic_rasmussen_s(form) -> tuple[int, str]:
+    diff = sum(p - q for p, q in form.pairs)
+    if form.ell > 0:
+        return diff - 6 * form.ell + 2, "quasipositive-twist"
+    if form.ell < 0:
+        return diff - 6 * form.ell - 2, "quasinegative-twist"
+    return diff, "alternating"
+
+
+def _check_against_references(form) -> None:
+    assert upsilon(form) == _ref_upsilon(form), form
+    assert signature(form) == _ref_signature(form), form
+    if isinstance(form, MurasugiGeneric):
+        assert rasmussen_s(form) == _ref_generic_rasmussen_s(form), form
+        if form.ell == 0:
+            assert genus_tau(form) == (None, None, -_ref_signature(form) // 2), form
+    if isinstance(form, (GarsideB, MurasugiTorus)):
+        ell = form.ell
+        expected = IntInterval.point(ell if ell >= 0 else -ell - 1)
+        assert alternating_distances(form) == expected, form
+    if isinstance(form, (GarsideC, GarsideD)):
+        twice = 2 * form.r - 4 * form.ell - _ref_garside_total(form)
+        assert homogenized_upsilon(form) == Fraction(twice, 2), form
+
+
+class TestAgainstReferenceExpressions:
+    def test_both_forms_of_every_knot_up_to_length_8(self):
+        knots = 0
+        for w in reduced_words(8):
+            if not w.is_knot():
                 continue
-            assert upsilon_upper_bound_slope(form) == upsilon(form)
+            knots += 1
+            gform, gcert = garside_normal_form(w)
+            mform, _ = murasugi_from_garside(gform, gcert)
+            _check_against_references(gform)
+            _check_against_references(mform)
+        assert knots == 6512
 
-    def test_absent_on_non_positive(self):
-        assert upsilon_upper_bound_slope(garside(parse("a^3 B a^-3 B"))) is None
+    def test_torus_families(self):
+        # every one of these closes to a knot: upsilon raises on a link
+        for ell in range(-40, 41):
+            for form in (GarsideB(ell, 1), GarsideB(ell, 3),
+                         MurasugiTorus(ell, "ab"), MurasugiTorus(ell, "abab")):
+                _check_against_references(form)
+
+    def test_random_c_d_and_generic_forms(self, rng):
+        knots = 0
+        for _ in range(600):
+            ell = rng.randint(-20, 20)
+            pairs = tuple((rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rng.randint(1, 4)))
+            big = tuple((p + 1, q + 1) for p, q in pairs)
+            for form in (GarsideC(ell, big), GarsideD(ell, big[1:], big[0][0]),
+                         MurasugiGeneric(ell, pairs)):
+                if realize(form).is_knot():
+                    knots += 1
+                    _check_against_references(form)
+        assert knots > 400
 
 
 class TestReport:
@@ -498,6 +588,18 @@ class TestReport:
             with pytest.raises(TypeError):
                 mutate(shared)
         assert shared["upsilon"] == "absent" and len(shared) == 12
+
+    def test_upsilon_cross_check_bites(self, monkeypatch):
+        # a Murasugi-side upsilon one off the Garside side stops the report
+        real = braid3.invariants.upsilon
+
+        def skewed(form):
+            return real(form) + isinstance(form, (MurasugiGeneric, MurasugiTorus))
+
+        monkeypatch.setattr(braid3.invariants, "upsilon", skewed)
+        for word in ("a^2 b^2 a^3 b^3", "abababab", "a^3 B a^-3 B"):
+            with pytest.raises(InternalInconsistencyError, match="upsilon disagreement"):
+                build_report(parse(word))
 
     def test_unknot_closure(self):
         r = build_report(parse("A b"))

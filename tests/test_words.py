@@ -13,7 +13,6 @@ from braid3.words import (
     ParseError,
     Syllable,
     WordLimitError,
-    cycle_type,
     delta_power,
     parse,
 )
@@ -23,6 +22,23 @@ from conftest import LETTER_RUNS, random_word, reduced_words
 
 def runs(word):
     return [(s.gen, s.exp) for s in word]
+
+
+def cycle_type(perm: tuple[int, int, int]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation of {1,2,3}, sorted descending: the
+    reference for the component counts words.py reads from a table."""
+    seen = [False, False, False]
+    lengths = []
+    for start in (1, 2, 3):
+        if seen[start - 1]:
+            continue
+        n, cur = 0, start
+        while not seen[cur - 1]:
+            seen[cur - 1] = True
+            cur = perm[cur - 1]
+            n += 1
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
 
 
 words_strategy = st.lists(
@@ -299,7 +315,9 @@ class TestWritheAndPermutation:
 
     def test_knot_iff_three_cycle_exhaustive(self):
         for w in reduced_words(10):
-            assert w.is_knot() == (cycle_type(w.permutation()) == (3,))
+            cycles = cycle_type(w.permutation())
+            assert w.is_knot() == (cycles == (3,))
+            assert w.closure_components() == len(cycles)
 
 
 def _delta_prefixed(k, tail):
