@@ -111,10 +111,11 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
 def signature(form: GarsideForm | MurasugiForm) -> int:
     """Classical knot signature of the closure, sigma(T(3,2)) = -2.
 
-    Read off upsilon, which is sigma/2 on alternating knots
-    (Ozsvath-Stipsicz-Szabo 2017): sigma = 2 upsilon on every 3-braid knot
-    but the torus knots T(3, 3m + j) with m odd, where sigma is 2 further
-    from 0.
+    Read off upsilon.  Upsilon is sigma/2 on alternating knots
+    (Ozsvath-Stipsicz-Szabo 2017).  That sigma = 2 upsilon on the other
+    non-torus forms is braid3's own formula, to be checked against an
+    independent Seifert-matrix signature.  On the torus knots T(3, 3m + j)
+    with m odd, sigma is 2 further from 0.
     """
     sig = 2 * upsilon(form)
     if isinstance(form, (GarsideB, MurasugiTorus)):
@@ -229,6 +230,13 @@ def homogenized_upsilon(form: GarsideForm) -> Fraction:
 def derived_concordance(ups: int, sig: int) -> tuple[int, int]:
     """(Ballinger t, lower bound for the nonorientable 4-genus)."""
     return -2 * ups, abs(ups - sig // 2)
+
+
+def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | None:
+    """Best cobordism slope bound on the upsilon function; positive braid
+    closures only, where it is tight at the right endpoint."""
+    _require_knot(form)
+    return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
 class _Flags(dict):

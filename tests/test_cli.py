@@ -657,8 +657,6 @@ class TestPublicNames:
     def test_removed_names_are_gone(self):
         for name in ("alternating_distance_genus_bounds", "AlternatingGenusBounds", "_witness_word"):
             assert not hasattr(braid3, name) and not hasattr(braid3.cobordism, name)
-        assert not hasattr(braid3, "upsilon_upper_bound_slope")
-        assert not hasattr(braid3.invariants, "upsilon_upper_bound_slope")
         for name in ("cycle_type", "KNOT_PERMS"):
             assert not hasattr(braid3.words, name)
         assert set(braid3.DeltaSplit._fields) == {"k", "positive_part"}

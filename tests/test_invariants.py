@@ -20,6 +20,7 @@ from braid3.invariants import (
     rasmussen_s,
     signature,
     upsilon,
+    upsilon_upper_bound_slope,
 )
 from braid3.normal_form import (
     GarsideA,
@@ -44,7 +45,7 @@ from conftest import random_word, reduced_words
 #: the invariants defined on knot closures only
 KNOT_ONLY_INVARIANTS = (
     upsilon, signature, rasmussen_s, genus_tau, alternating_distances,
-    minimal_positive_switches,
+    minimal_positive_switches, upsilon_upper_bound_slope,
 )
 
 
@@ -379,6 +380,26 @@ class TestDerivedConcordance:
             if isinstance(mform, MurasugiGeneric):
                 _, g4 = derived_concordance(upsilon(mform), signature(mform))
                 assert g4 == 0
+
+
+class TestSlopeBound:
+    def test_examples(self):
+        assert upsilon_upper_bound_slope(garside(parse("a^3 b^3"))) == -2
+        assert upsilon_upper_bound_slope(GarsideD(0, (), 3)) == -2
+        assert upsilon_upper_bound_slope(GarsideC(1, ((3, 3),))) == -4
+
+    def test_matches_upsilon_on_positive_knots(self, rng):
+        for _ in range(100):
+            form = GarsideC(
+                rng.randint(0, 2),
+                tuple((rng.randint(2, 5), rng.randint(2, 5)) for _ in range(rng.randint(1, 3))),
+            )
+            if not realize(form).is_knot():
+                continue
+            assert upsilon_upper_bound_slope(form) == upsilon(form)
+
+    def test_absent_on_non_positive(self):
+        assert upsilon_upper_bound_slope(garside(parse("a^3 B a^-3 B"))) is None
 
 
 # The expressions each invariant had before every one of them read upsilon,
