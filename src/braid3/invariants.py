@@ -174,35 +174,28 @@ def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None,
     return None
 
 
-def _twist_interval(twist: int) -> IntInterval:
-    return IntInterval.point(0) if twist == 0 else IntInterval(abs(twist) - 1, abs(twist))
-
-
 def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
     """Alternation number, dealternating number and Turaev genus.
 
-    All three lie in the one interval returned: exact for torus closures
-    and for positive classes, where they equal g + upsilon; otherwise the
-    twisting degree pins them to a two-point interval.
+    All three lie in the one interval returned: g + upsilon on positive
+    braid closures, m on a mirrored torus closure -T(3, 3m + j), and
+    otherwise the two-point interval of the twisting degree.
     """
     _require_knot(form)
+    if _is_positive_form(form):
+        return IntInterval.point(_positive_genus(form) + upsilon(form))
     if isinstance(form, (GarsideB, MurasugiTorus)):
         return IntInterval.point(_torus(form)[0])
-    if isinstance(form, (GarsideC, GarsideD)):
-        twist = form.ell + form.r
-        return IntInterval.point(twist - 1) if form.ell >= 0 else _twist_interval(twist)
-    return _twist_interval(form.ell)
+    twist = abs(form.ell + form.r if isinstance(form, (GarsideC, GarsideD)) else form.ell)
+    return IntInterval(max(twist - 1, 0), twist)
 
 
 def minimal_positive_switches(form: GarsideForm | MurasugiForm) -> int | None:
     """Minimal r so the closure is that of a^p1 b^q1 ... a^pr b^qr, all
-    exponents positive; defined for positive braid closures only."""
+    exponents positive: g + upsilon + 1 on positive braid closures, None
+    on every other closure."""
     _require_knot(form)
-    if not _is_positive_form(form):
-        return None
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        return form.ell + 1
-    return form.r + form.ell
+    return _positive_genus(form) + upsilon(form) + 1 if _is_positive_form(form) else None
 
 
 def fdtc(form: GarsideForm) -> Fraction:
@@ -233,8 +226,10 @@ def derived_concordance(ups: int, sig: int) -> tuple[int, int]:
 
 
 def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | None:
-    """Best cobordism slope bound on the upsilon function; positive braid
-    closures only, where it is tight at the right endpoint."""
+    """Fraction(upsilon) on positive braid closures, where the cobordism
+    slope bound on upsilon is tight; None otherwise.  Nothing in braid3
+    calls it: it stays only while bench/pipeline.py lists it (ROADMAP
+    item 1), so build no new code on it; read upsilon instead."""
     _require_knot(form)
     return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
@@ -285,7 +280,8 @@ class InvariantReport(Value):
         )
 
 
-#: the flags of every link report, where only the two quasimorphisms apply
+#: the flags of every link report, where only the two quasimorphisms apply;
+#: a knot report's flags override the rest and keep this key order
 _LINK_FLAGS = _Flags(
     fdtc="exact", homogenized_upsilon="exact", upsilon="absent", signature="absent",
     s="absent", genus3="absent", genus4="absent", tau="absent", alt="absent",
@@ -304,61 +300,39 @@ def build_report(word: BraidWord) -> InvariantReport:
     gform, gcert = garside_normal_form(word)
     mform, mcert = murasugi_from_garside(gform, gcert)
     components = word.closure_components()
-    knot = components == 1
-    omega = fdtc(gform)
-    h_ups = homogenized_upsilon(gform)
-
-    ups = sig = s_val = g3 = g4 = tau_val = alt = min_r = t_val = gamma4 = None
-    flags = _LINK_FLAGS
-    if knot:
-        ups = upsilon(gform)
-        ups_m = upsilon(mform)
-        if ups != ups_m:
-            raise InternalInconsistencyError(
-                f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
-            )
-        sig = signature(mform)
-        # a Murasugi torus form comes only from a Garside B form with the same
-        # ell, so the Garside side has no s value when the Murasugi side has none
-        s_pair = rasmussen_s(mform)
-        gt = genus_tau(gform) or genus_tau(mform)
-        alt = alternating_distances(gform)
-        min_r = minimal_positive_switches(gform)
-        if s_pair:
-            s_val = s_pair[0]
-        if gt:
-            g3, g4, tau_val = gt
-        t_val, gamma4 = derived_concordance(ups, sig)
-        bound = "exact" if alt.exact else "interval"
-        flags = _Flags(
-            fdtc="exact", homogenized_upsilon="exact", upsilon="exact", signature="exact",
-            s=f"exact ({s_pair[1]})" if s_pair else "absent",
-            genus3="absent" if g3 is None else "exact",
-            genus4="absent" if g4 is None else "exact",
-            tau="absent" if tau_val is None else "exact",
-            alt=bound, dalt=bound, turaev=bound,
-            minimal_r="absent" if min_r is None else "exact",
+    common = dict(
+        word=word, garside=gform, murasugi=mform, garside_certificate=gcert,
+        murasugi_certificate=mcert, components=components, is_knot=components == 1,
+        fdtc=fdtc(gform), homogenized_upsilon=homogenized_upsilon(gform),
+    )
+    if components != 1:
+        return InvariantReport(**common, flags=_LINK_FLAGS)
+    ups = upsilon(gform)
+    ups_m = upsilon(mform)
+    if ups != ups_m:
+        raise InternalInconsistencyError(
+            f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
         )
-
+    sig = signature(mform)
+    # a Murasugi torus form comes only from a Garside B form with the same
+    # ell, so the Garside side has no s value when the Murasugi side has none
+    s_val, provenance = rasmussen_s(mform) or (None, None)
+    g3, g4, tau = genus_tau(gform) or genus_tau(mform) or (None, None, None)
+    alt = alternating_distances(gform)
+    min_r = minimal_positive_switches(gform)
+    t_val, gamma4 = derived_concordance(ups, sig)
+    bound = "exact" if alt.exact else "interval"
+    flags = _Flags(
+        _LINK_FLAGS, upsilon="exact", signature="exact",
+        s="absent" if provenance is None else f"exact ({provenance})",
+        genus3="absent" if g3 is None else "exact",
+        genus4="absent" if g4 is None else "exact",
+        tau="absent" if tau is None else "exact",
+        alt=bound, dalt=bound, turaev=bound,
+        minimal_r="absent" if min_r is None else "exact",
+    )
     return InvariantReport(
-        word=word,
-        garside=gform,
-        murasugi=mform,
-        garside_certificate=gcert,
-        murasugi_certificate=mcert,
-        components=components,
-        is_knot=knot,
-        fdtc=omega,
-        homogenized_upsilon=h_ups,
-        upsilon=ups,
-        signature=sig,
-        rasmussen_s=s_val,
-        genus3=g3,
-        genus4=g4,
-        tau=tau_val,
-        alt=alt,
-        minimal_r=min_r,
-        ballinger_t=t_val,
-        nonorientable_g4_lower=gamma4,
-        flags=flags,
+        **common, upsilon=ups, signature=sig, rasmussen_s=s_val, genus3=g3, genus4=g4,
+        tau=tau, alt=alt, minimal_r=min_r, ballinger_t=t_val,
+        nonorientable_g4_lower=gamma4, flags=flags,
     )

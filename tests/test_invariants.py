@@ -462,6 +462,18 @@ def _ref_generic_rasmussen_s(form) -> tuple[int, str]:
     return diff, "alternating"
 
 
+def _ref_twist_interval(twist: int) -> IntInterval:
+    return IntInterval.point(0) if twist == 0 else IntInterval(abs(twist) - 1, abs(twist))
+
+
+def _ref_minimal_switches(form) -> int | None:
+    if isinstance(form, (GarsideB, MurasugiTorus)) and form.ell >= 0:
+        return form.ell + 1
+    if isinstance(form, (GarsideC, GarsideD)) and form.ell >= 0:
+        return form.r + form.ell
+    return None
+
+
 def _check_against_references(form) -> None:
     assert upsilon(form) == _ref_upsilon(form), form
     assert signature(form) == _ref_signature(form), form
@@ -476,6 +488,12 @@ def _check_against_references(form) -> None:
     if isinstance(form, (GarsideC, GarsideD)):
         twice = 2 * form.r - 4 * form.ell - _ref_garside_total(form)
         assert homogenized_upsilon(form) == Fraction(twice, 2), form
+        twist = form.ell + form.r
+        expected = IntInterval.point(twist - 1) if form.ell >= 0 else _ref_twist_interval(twist)
+        assert alternating_distances(form) == expected, form
+    if isinstance(form, MurasugiGeneric):
+        assert alternating_distances(form) == _ref_twist_interval(form.ell), form
+    assert minimal_positive_switches(form) == _ref_minimal_switches(form), form
 
 
 class TestAgainstReferenceExpressions:
@@ -528,6 +546,26 @@ class TestReport:
         assert r.upsilon is None and r.signature is None
         assert r.fdtc == 0
         assert r.flags["upsilon"] == "absent"
+
+    def test_link_report_calls_no_knot_invariant(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError(f"a knot invariant was called on {args}")
+
+        for name in ("upsilon", "signature", "rasmussen_s", "genus_tau", "alternating_distances",
+                     "minimal_positive_switches", "derived_concordance"):
+            monkeypatch.setattr(braid3.invariants, name, refused)
+        links = 0
+        # reduced_words starts with the identity, which closes to three unknots
+        for w in (*reduced_words(4), parse("D"), parse("D^-3")):
+            if w.is_knot():
+                continue
+            links += 1
+            r = build_report(w)
+            assert not r.is_knot and r.components > 1
+            assert (r.upsilon, r.signature, r.rasmussen_s, r.genus3, r.genus4, r.tau, r.alt,
+                    r.minimal_r, r.ballinger_t, r.nonorientable_g4_lower) == (None,) * 10
+            assert r.flags is braid3.invariants._LINK_FLAGS
+        assert links == 75
 
     def test_one_knot_decision_per_form(self, monkeypatch):
         # realize builds a form's word from tail_runs; count the builds, with
