@@ -25,22 +25,22 @@ to one list of pieces, and the Murasugi conversion appends its own pieces
 the same way, so each result ships with a ConjugacyCertificate, which the
 exact word-problem oracle of module burau (the SL2(Z) image of the braid
 paired with its writhe) checks before it is returned.  Each
-stage is linear in the letter count of the split word, apart from sorting
-the distinct blocks of the rotation below.
+stage is linear in the letter count of the split word.
 
 Canonical rotation: among all cyclic rotations of the exponent sequence
 (2r of them for case C, 2r-1 for case D -- odd shifts exchange the roles
 of a and b, which is a conjugation by the half twist), take those with the
 largest leading exponent and break ties by the lexicographically smallest
 full sequence.  Murasugi generic forms rotate by whole (a^-p, b^q) pairs
-and take the lexicographically smallest flattened sequence.  Both are
-found with Booth's least-rotation scan (Booth, "Lexicographically least
-circular substrings", IPL 1980); the Garside scan runs only when the
-largest exponent is tied, since otherwise it leads exactly one rotation.
+and take the lexicographically smallest flattened sequence.  One linear
+two-pointer scan, _least_rotation, finds both, the Garside one among the
+rotations that start at the largest exponent; on a periodic sequence it
+takes the first least rotation, which fixes the conjugator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import chain
 
@@ -399,50 +399,36 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
     return n, [b ^ (n & 1) for b in bits], list(exps)
 
 
-def _least_rotation(seq: list) -> int:
-    """Smallest start index of the lexicographically least rotation of seq,
-    by Booth's failure-function scan: O(len(seq)) comparisons."""
-    s = seq + seq
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:  # so i == -1
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+def _least_rotation(seq: list, top=None) -> int:
+    """Smallest index of the lexicographically least rotation of seq, among
+    the rotations that begin with top, or among all of them when top is None.
 
-
-def _canonical_shift(seq: list[int]) -> int:
-    """Index of the canonical rotation: maximal leading exponent, then
-    lexicographically smallest full sequence.  A maximum that occurs once
-    leads the only candidate.
-
-    The candidates start where the maximum M sits, so cut the cyclic
-    sequence into blocks that each start with M and hold no other M.  Two
-    candidates compare like their block sequences, block by block, except
-    that a block that is a proper prefix of another is the larger one: M
-    follows it, something smaller than M follows in the other.  Appending
-    M to each block makes plain tuple order say the same, so rank the
-    distinct blocks and take the least rotation of the ranks.
+    Candidates i < j stand, and every other candidate below j loses to some
+    candidate.  When their rotations agree on k entries and i's is larger
+    in the next one, each candidate i + t, t < k, loses to the candidate
+    j + t, and so does i + k when every index is a candidate; likewise with
+    i and j exchanged.  Each mismatch moves a pointer past the k entries it
+    compared, so the scan makes O(len(seq)) element comparisons.  Agreement
+    on all n entries means seq is periodic, and i is the first least start.
     """
-    top = max(seq)
-    if seq.count(top) == 1:
-        return seq.index(top)
-    starts = [i for i, e in enumerate(seq) if e == top]
-    ends = starts[1:] + [starts[0] + len(seq)]
-    doubled = seq + seq
-    blocks = [tuple(doubled[i:j]) + (top,) for i, j in zip(starts, ends)]
-    rank = {b: r for r, b in enumerate(sorted(set(blocks)))}
-    return starts[_least_rotation([rank[b] for b in blocks])]
+    n = len(seq)
+    starts = range(n) if top is None else [x for x, e in enumerate(seq) if e == top]
+    past = top is None  # whether the mismatched start itself loses
+    s = seq + seq
+    a, b, k = 0, 1, 0  # i = starts[a], j = starts[b]
+    while b < len(starts) and k < n:
+        i, j = starts[a], starts[b]
+        x, y = s[i + k], s[j + k]
+        if x == y:
+            k += 1
+            continue
+        if x < y:
+            b = bisect_left(starts, j + k + past, b)
+        else:
+            a = bisect_left(starts, i + k + past, b)
+            b = a + 1
+        k = 0
+    return starts[a]
 
 
 def _rotate_canonically(n: int, exps: list[int], pieces: list) -> list[int]:
@@ -450,7 +436,7 @@ def _rotate_canonically(n: int, exps: list[int], pieces: list) -> list[int]:
     canonical shift and return them.  Each leading a-run is conjugated to
     the back through D^n, where it reads as b when n is odd, and a
     conjugation by D makes the tail a-leading again."""
-    shift = _canonical_shift(exps)
+    shift = _least_rotation(exps, max(exps))
     moved = _GEN[n & 1]
     for e in exps[:shift]:
         pieces.append(((moved, -e),))

@@ -245,7 +245,8 @@ MUTANT_VALUES = st.one_of(
     st.integers(10**18, 10**40) | st.integers(-(10**40), -(10**18)),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(alphabet="abABD^-0123456789/ T(2,3)#", max_size=12),
-    st.lists(st.integers(-3, 3), max_size=3),
+    st.recursive(st.lists(st.integers(-3, 3), max_size=3), lambda inner: st.lists(inner, max_size=3),
+                 max_leaves=6),
     st.dictionaries(st.sampled_from(["type", "q", "word", "kind"]), st.integers(-3, 7), max_size=3),
 )
 
@@ -256,6 +257,24 @@ def json_paths(data, prefix=()):
         yield prefix + (key,)
         if isinstance(value, (dict, list)):
             yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_certificates(draw, mutations=1):
+    """A fresh certificate with up to `mutations` keys or list entries each
+    dropped or given a value of another type."""
+    cert = json.loads(json.dumps(draw(st.sampled_from(FRESH_CERTIFICATES))))
+    for _ in range(draw(st.integers(1, mutations))):
+        path = draw(st.sampled_from(list(json_paths(cert))))
+        owner = cert
+        for key in path[:-1]:
+            owner = owner[key]
+        value = draw(st.none() | MUTANT_VALUES)
+        if value is None:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+    return cert
 
 
 class TestVerify:
@@ -371,16 +390,7 @@ class TestVerify:
     def test_mutated_certificate_files(self, tmp_path_factory, data):
         # drop one key or list entry of a fresh certificate, or give it a value of
         # another type: verify --cert answers with a documented code, never a traceback
-        cert = json.loads(json.dumps(data.draw(st.sampled_from(FRESH_CERTIFICATES))))
-        path = data.draw(st.sampled_from(list(json_paths(cert))))
-        owner = cert
-        for key in path[:-1]:
-            owner = owner[key]
-        value = data.draw(st.none() | MUTANT_VALUES)
-        if value is None:
-            del owner[path[-1]]
-        else:
-            owner[path[-1]] = value
+        cert = data.draw(mutated_certificates())
         file = tmp_path_factory.getbasetemp() / "mutated-cert.json"
         file.write_text(json.dumps(cert))
         out, err = io.StringIO(), io.StringIO()
@@ -586,6 +596,28 @@ ARGV_FLAGS = {
 }
 
 
+def run_quietly(argv):
+    """main's exit code and stderr; argparse's usage errors exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+#: CSV files as bytes: an optional BOM and header, then junk, NUL and non-UTF-8 bytes among words
+CSV_BYTES = st.tuples(
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.sampled_from([b"name,word\n", b"word,name\r\n", b"name,text\n", b"word\n", b"name\n", b""]),
+    st.lists(st.sampled_from([
+        b"a^3 B", b"D^-2 a", b"b", b"a^999", b"x", b",", b"\n", b"\r\n", b'"', b" ",
+        b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b"\xef\xbb\xbf", b"9" * 50,
+    ]), max_size=24).map(b"".join),
+).map(b"".join) | st.binary(max_size=40)
+
+
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
@@ -604,16 +636,34 @@ class TestArgvFuzz:
     @given(argv=cli_argv())
     @example(argv=["certify", "a b", "--kind", "twist", "--n", str(10**20)])
     def test_every_argv_exits_with_a_documented_code(self, monkeypatch, argv):
-        # a small limit keeps every example cheap; batch and --cert would write files
+        # a small limit keeps every example cheap; batch and --cert read files, fuzzed below
         monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "40")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
+        code, err = run_quietly(argv)
         assert code in (0, 1, 2, 3, 4)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=CSV_BYTES)
+    @example(content=b"\xef\xbb\xbfname,word\nk,a b\n")
+    def test_every_batch_file_exits_with_a_documented_code(self, monkeypatch, tmp_path, content):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "40")
+        src = tmp_path / "in.csv"
+        src.write_bytes(content)
+        code, err = run_quietly(["batch", "--csv", str(src)])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cert=mutated_certificates(mutations=3))
+    def test_every_certificate_file_exits_with_a_documented_code(self, monkeypatch, tmp_path, cert):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "40")
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, err = run_quietly(["verify", "--cert", str(path)])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
 
 
 class TestModuleEntryPoint:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import deque
 
@@ -21,7 +22,6 @@ from braid3.normal_form import (
     MurasugiTorus,
     _BIT,
     _GEN,
-    _canonical_shift,
     _extract_half_twists,
     _least_rotation,
     delta_exponent,
@@ -338,11 +338,74 @@ def _tie_heavy_sequences(rng):
         yield [rng.randint(2, 9) for _ in range(rng.randint(1, 15))]
 
 
+def _first_least_start(seq, top=None):
+    """The first start of the least rotation among those that begin with
+    top (all of them when top is None), by its definition: min keeps the
+    first of equal keys."""
+    starts = [i for i, e in enumerate(seq) if top is None or e == top]
+    return min(starts, key=lambda i: seq[i:] + seq[:i])
+
+
+def _counting(op):
+    def compare(self, other):
+        self.tally[0] += 1
+        return op(self.value, other.value)
+    return compare
+
+
+class _Counted:
+    """An entry that adds one to its shared tally for each comparison."""
+
+    __slots__ = ("value", "tally")
+    __hash__ = None
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(_counting, (
+        operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge))
+
+
+def _fibonacci_word(n):
+    a, b = [3], [3, 2]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 class TestCanonicalRotation:
     def test_shift_matches_all_rotations_reference(self, rng):
         for seq in _tie_heavy_sequences(rng):
-            shift = _canonical_shift(seq)
+            shift = _least_rotation(seq, max(seq))
             assert seq[shift:] + seq[:shift] == _all_rotations_canonical(seq), seq
+
+    def test_first_index_of_the_least_rotation(self, rng):
+        # the conjugators depend on the index, not only on the rotated values
+        short = (list(s) for n in range(1, 9) for s in itertools.product((1, 2, 3), repeat=n))
+        for seq in itertools.chain(short, _tie_heavy_sequences(rng)):
+            top = max(seq)
+            assert _least_rotation(seq, top) == _first_least_start(seq, top), seq
+            assert _least_rotation(seq) == _first_least_start(seq), seq
+            pairs = list(zip(seq, seq[1:] + seq[:1]))
+            assert _least_rotation(pairs) == _first_least_start(pairs), pairs
+
+    def test_comparisons_are_linear(self, rng):
+        for n in (10, 100, 1000, 10000):
+            families = {
+                "equal": [3] * n,
+                "one low": [3] * (n - 1) + [2],
+                "period 2": [3, 2] * (n // 2),
+                "blocks": ([3] + [2] * 30) * max(1, n // 31),
+                "fibonacci": _fibonacci_word(n),
+                "random": [rng.choice((2, 3)) for _ in range(n)],
+            }
+            for name, values in families.items():
+                tally = [0]
+                seq = [_Counted(v, tally) for v in values]
+                for call in (lambda: _least_rotation(seq, max(seq)), lambda: _least_rotation(seq)):
+                    tally[0] = 0
+                    call()
+                    assert tally[0] <= 10 * len(seq), (name, len(seq), tally[0])
 
     def test_least_rotation_of_pairs(self, rng):
         # the Murasugi generic rotation compares (p, q) pairs as tuples
