@@ -71,10 +71,19 @@ def _form_json(form) -> dict:
     return {"display": form_display(form), "case": form.case, **shallow}
 
 
+#: the fields that carry a flag, in the order the flags print
+_FLAGGED = ("fdtc", "homogenized_upsilon", "upsilon", "signature", "s", "genus3", "genus4",
+            "tau", "alt", "dalt", "turaev", "minimal_r")
+
+
 def report_json(report: InvariantReport) -> dict:
+    """The report as a new JSON-ready dict on every call.  Its `flags` are
+    read off the values beside them: 'absent' for null, 'exact' or
+    'interval' for `alt`, `dalt` and `turaev` as the interval's ends agree
+    or not, 'exact (<provenance>)' for `s`, and 'exact' for the rest."""
     # one interval bounds all three distances, so the three keys share its dict
     alt = _interval_json(report.alt)
-    return {
+    data = {
         "word": report.word.display(),
         "components": report.components,
         "is_knot": report.is_knot,
@@ -94,8 +103,13 @@ def report_json(report: InvariantReport) -> dict:
         "gamma4_lower": report.nonorientable_g4_lower,
         "garside_form": _form_json(report.garside),
         "murasugi_form": _form_json(report.murasugi),
-        "flags": report.flags,
     }
+    flags = data["flags"] = {key: "absent" if data[key] is None else "exact" for key in _FLAGGED}
+    if alt is not None and not alt["exact"]:
+        flags["alt"] = flags["dalt"] = flags["turaev"] = "interval"
+    if report.s_provenance is not None:
+        flags["s"] += f" ({report.s_provenance})"
+    return data
 
 
 #: only the identity's forms, case A and the power form with l = p = 0, display as ""

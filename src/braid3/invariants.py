@@ -234,29 +234,15 @@ def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | No
     return Fraction(upsilon(form)) if _is_positive_form(form) else None
 
 
-class _Flags(dict):
-    """Read-only flags that print as a JSON object and hash over their items."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("report flags are read-only")
-
-    __setitem__ = __delitem__ = update = pop = popitem = clear = setdefault = __ior__ = _read_only
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
-
-    def __reduce__(self):
-        return _Flags, (dict(self),)
-
-
 class InvariantReport(Value):
     """Everything the pipeline can say about one braid word.
 
     None means no closed form applies; on a link every knot invariant is
     None.  `alt` bounds the alternation number, the dealternating number
-    and the Turaev genus alike.  The read-only `flags` record, per reported field,
-    'exact', 'interval' or 'absent', plus the provenance of the Rasmussen
-    value; every link report holds the same flags object.
+    and the Turaev genus alike.  `s_provenance` names the case that gives
+    the Rasmussen value, as `rasmussen_s` returns it, and is None exactly
+    when `rasmussen_s` is.  The flags that say whether a field is exact
+    are read off its value where the JSON is built (cli.report_json).
     """
 
     def __init__(
@@ -264,29 +250,20 @@ class InvariantReport(Value):
         garside_certificate: ConjugacyCertificate, murasugi_certificate: ConjugacyCertificate,
         components: int, is_knot: bool, fdtc: Fraction, homogenized_upsilon: Fraction,
         upsilon: int | None = None, signature: int | None = None,
-        rasmussen_s: int | None = None, genus3: int | None = None, genus4: int | None = None,
-        tau: int | None = None, alt: IntInterval | None = None, minimal_r: int | None = None,
+        rasmussen_s: int | None = None, s_provenance: str | None = None,
+        genus3: int | None = None, genus4: int | None = None, tau: int | None = None,
+        alt: IntInterval | None = None, minimal_r: int | None = None,
         ballinger_t: int | None = None, nonorientable_g4_lower: int | None = None,
-        flags: _Flags | None = None,
     ):
         self.__dict__.update(
             word=word, garside=garside, murasugi=murasugi,
             garside_certificate=garside_certificate, murasugi_certificate=murasugi_certificate,
             components=components, is_knot=is_knot, fdtc=fdtc,
             homogenized_upsilon=homogenized_upsilon, upsilon=upsilon, signature=signature,
-            rasmussen_s=rasmussen_s, genus3=genus3, genus4=genus4, tau=tau, alt=alt,
-            minimal_r=minimal_r, ballinger_t=ballinger_t,
-            nonorientable_g4_lower=nonorientable_g4_lower, flags=flags,
+            rasmussen_s=rasmussen_s, s_provenance=s_provenance, genus3=genus3, genus4=genus4,
+            tau=tau, alt=alt, minimal_r=minimal_r, ballinger_t=ballinger_t,
+            nonorientable_g4_lower=nonorientable_g4_lower,
         )
-
-
-#: the flags of every link report, where only the two quasimorphisms apply;
-#: a knot report's flags override the rest and keep this key order
-_LINK_FLAGS = _Flags(
-    fdtc="exact", homogenized_upsilon="exact", upsilon="absent", signature="absent",
-    s="absent", genus3="absent", genus4="absent", tau="absent", alt="absent",
-    dalt="absent", turaev="absent", minimal_r="absent",
-)
 
 
 def build_report(word: BraidWord) -> InvariantReport:
@@ -306,7 +283,7 @@ def build_report(word: BraidWord) -> InvariantReport:
         fdtc=fdtc(gform), homogenized_upsilon=homogenized_upsilon(gform),
     )
     if components != 1:
-        return InvariantReport(**common, flags=_LINK_FLAGS)
+        return InvariantReport(**common)
     ups = upsilon(gform)
     ups_m = upsilon(mform)
     if ups != ups_m:
@@ -321,18 +298,8 @@ def build_report(word: BraidWord) -> InvariantReport:
     alt = alternating_distances(gform)
     min_r = minimal_positive_switches(gform)
     t_val, gamma4 = derived_concordance(ups, sig)
-    bound = "exact" if alt.exact else "interval"
-    flags = _Flags(
-        _LINK_FLAGS, upsilon="exact", signature="exact",
-        s="absent" if provenance is None else f"exact ({provenance})",
-        genus3="absent" if g3 is None else "exact",
-        genus4="absent" if g4 is None else "exact",
-        tau="absent" if tau is None else "exact",
-        alt=bound, dalt=bound, turaev=bound,
-        minimal_r="absent" if min_r is None else "exact",
-    )
     return InvariantReport(
-        **common, upsilon=ups, signature=sig, rasmussen_s=s_val, genus3=g3, genus4=g4,
-        tau=tau, alt=alt, minimal_r=min_r, ballinger_t=t_val,
-        nonorientable_g4_lower=gamma4, flags=flags,
+        **common, upsilon=ups, signature=sig, rasmussen_s=s_val, s_provenance=provenance,
+        genus3=g3, genus4=g4, tau=tau, alt=alt, minimal_r=min_r, ballinger_t=t_val,
+        nonorientable_g4_lower=gamma4,
     )

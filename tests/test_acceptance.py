@@ -12,12 +12,17 @@ each classified into both normal forms.  Every certificate is checked by
 two independent exact oracles: braid3's own SL2(Z) x writhe oracle, which
 the classifier runs on every certificate it returns, and the generic-t
 Burau reference in burau_reference.py.  Its results feed criteria 4, 5
-and 8.
+and 8.  The words are split between at most two worker processes, which
+regenerate their share from indices; the mirror check over the exhaustive
+set runs on the merged results.
 """
 
 import itertools
+import multiprocessing
+import os
 import random
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import pytest
@@ -116,11 +121,42 @@ def _examine(word: BraidWord, stats: SweepStats, record: bool) -> None:
         stats.values[_key(word)] = (ups, sig, omega)
 
 
+def _random_words():
+    rng = random.Random(424242)
+    for _ in range(RANDOM_WORDS):
+        yield random_word(rng, rng.randrange(0, RANDOM_LEN + 1))
+
+
+def _sweep_share(share: int, shares: int) -> SweepStats:
+    """Examine the sweep's words whose index is share modulo shares."""
+    stats = SweepStats()
+    for word in itertools.islice(reduced_words(EXHAUSTIVE_LEN), share, None, shares):
+        _examine(word, stats, record=True)
+    for word in itertools.islice(_random_words(), share, None, shares):
+        _examine(word, stats, record=False)
+        # pair each random word with its mirror so antisymmetry is covered
+        mirror = word.mirror()
+        gform, _ = garside_normal_form(word)
+        mform, _ = garside_normal_form(mirror)
+        if fdtc(mform) != -fdtc(gform):
+            stats.mirror_failures.append(("fdtc", word.display()))
+        if word.is_knot() and upsilon(mform) != -upsilon(gform):
+            stats.mirror_failures.append(("upsilon", word.display()))
+    return stats
+
+
 @pytest.fixture(scope="session")
 def sweep() -> SweepStats:
     stats = SweepStats()
-    for word in reduced_words(EXHAUSTIVE_LEN):
-        _examine(word, stats, record=True)
+    shares = min(2, os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(shares, mp_context=spawn) as pool:
+        futures = [pool.submit(_sweep_share, share, shares) for share in range(shares)]
+        for future in futures:
+            part = future.result()
+            for f in fields(SweepStats):
+                total, more = getattr(stats, f.name), getattr(part, f.name)
+                setattr(stats, f.name, total | more if isinstance(total, dict) else total + more)
     # mirror antisymmetry across the (mirror-closed) exhaustive set
     for key, (ups, sig, omega) in stats.values.items():
         mkey = tuple((g, -e) for g, e in key)
@@ -131,19 +167,6 @@ def sweep() -> SweepStats:
             stats.mirror_failures.append(("fdtc", key))
         if ups is not None and (mups != -ups or msig != -sig):
             stats.mirror_failures.append(("upsilon/signature", key))
-
-    rng = random.Random(424242)
-    for _ in range(RANDOM_WORDS):
-        word = random_word(rng, rng.randrange(0, RANDOM_LEN + 1))
-        _examine(word, stats, record=False)
-        # pair each random word with its mirror so antisymmetry is covered
-        mirror = word.mirror()
-        gform, _ = garside_normal_form(word)
-        mform, _ = garside_normal_form(mirror)
-        if fdtc(mform) != -fdtc(gform):
-            stats.mirror_failures.append(("fdtc", word.display()))
-        if word.is_knot() and upsilon(mform) != -upsilon(gform):
-            stats.mirror_failures.append(("upsilon", word.display()))
     return stats
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import braid3.invariants
 import braid3.normal_form
+from braid3.cli import report_json
 from braid3.invariants import (
     IntInterval,
     NotAKnotError,
@@ -51,7 +52,7 @@ KNOT_ONLY_INVARIANTS = (
 
 def _flag(value) -> str:
     """The flag of one report field, read off its value: the rule the
-    report's flags are checked against."""
+    flags of a report's JSON are checked against."""
     if isinstance(value, tuple):  # a Rasmussen (value, provenance) pair
         return f"exact ({value[1]})"
     if isinstance(value, IntInterval) and not value.exact:
@@ -538,14 +539,14 @@ class TestReport:
         assert r.minimal_r == 2 and r.ballinger_t == 4
         assert r.nonorientable_g4_lower == 1
         assert r.fdtc == Fraction(4, 3)
-        assert r.flags["upsilon"] == "exact"
+        assert report_json(r)["flags"]["upsilon"] == "exact"
 
     def test_link_report(self):
         r = build_report(parse("a^3"))
         assert r.components == 2 and not r.is_knot
         assert r.upsilon is None and r.signature is None
         assert r.fdtc == 0
-        assert r.flags["upsilon"] == "absent"
+        assert report_json(r)["flags"]["upsilon"] == "absent"
 
     def test_link_report_calls_no_knot_invariant(self, monkeypatch):
         def refused(*args):
@@ -555,6 +556,10 @@ class TestReport:
                      "minimal_positive_switches", "derived_concordance"):
             monkeypatch.setattr(braid3.invariants, name, refused)
         links = 0
+        # only the two quasimorphisms apply to a link
+        link_flags = {"fdtc": "exact", "homogenized_upsilon": "exact", **dict.fromkeys((
+            "upsilon", "signature", "s", "genus3", "genus4", "tau", "alt", "dalt", "turaev",
+            "minimal_r"), "absent")}
         # reduced_words starts with the identity, which closes to three unknots
         for w in (*reduced_words(4), parse("D"), parse("D^-3")):
             if w.is_knot():
@@ -564,7 +569,7 @@ class TestReport:
             assert not r.is_knot and r.components > 1
             assert (r.upsilon, r.signature, r.rasmussen_s, r.genus3, r.genus4, r.tau, r.alt,
                     r.minimal_r, r.ballinger_t, r.nonorientable_g4_lower) == (None,) * 10
-            assert r.flags is braid3.invariants._LINK_FLAGS
+            assert r.s_provenance is None and report_json(r)["flags"] == link_flags
         assert links == 75
 
     def test_one_knot_decision_per_form(self, monkeypatch):
@@ -619,11 +624,12 @@ class TestReport:
         assert r.garside == fresh and hash(r.garside) == hash(fresh)
 
     def test_flags_follow_the_per_field_rule(self):
-        link_flags = []
+        seen = set()
         for w in reduced_words(6):
             r = build_report(w)
             s_pair = rasmussen_s(r.murasugi) if r.is_knot else None
             assert (s_pair[0] if s_pair else None) == r.rasmussen_s
+            assert r.s_provenance == (s_pair[1] if s_pair else None)
             expected = [(name, _flag(value)) for name, value in (
                 ("fdtc", r.fdtc), ("homogenized_upsilon", r.homogenized_upsilon),
                 ("upsilon", r.upsilon), ("signature", r.signature), ("s", s_pair),
@@ -632,21 +638,12 @@ class TestReport:
                 ("minimal_r", r.minimal_r),
             )]
             # the order is the order the JSON prints
-            assert list(r.flags.items()) == expected, w
-            if not r.is_knot:
-                link_flags.append(r.flags)
-        # every link report holds one flags object, and it stays read-only
-        shared = link_flags[0]
-        assert len(link_flags) > 700 and all(f is shared for f in link_flags)
-        for mutate in (
-            lambda f: f.__setitem__("upsilon", "exact"),
-            lambda f: f.update(upsilon="exact"),
-            lambda f: f.pop("upsilon"),
-            lambda f: f.clear(),
-        ):
-            with pytest.raises(TypeError):
-                mutate(shared)
-        assert shared["upsilon"] == "absent" and len(shared) == 12
+            assert list(report_json(r)["flags"].items()) == expected, w
+            seen.update(flag for _, flag in expected)
+        # every branch of the rule is taken
+        assert seen == {"exact", "interval", "absent", "exact (positive-braid)",
+                        "exact (alternating)", "exact (quasipositive-twist)",
+                        "exact (quasinegative-twist)"}
 
     def test_upsilon_cross_check_bites(self, monkeypatch):
         # a Murasugi-side upsilon one off the Garside side stops the report
