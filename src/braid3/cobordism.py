@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .invariants import upsilon
 from .normal_form import InternalInconsistencyError, garside_normal_form
-from .words import GEN_A, GEN_B, BraidWord, Value, _syllable, _word
+from .words import GEN_A, GEN_B, BraidWord, Value, _word
 
 
 class PreconditionError(ValueError):
@@ -132,7 +132,7 @@ def _cyclic_positive_normalize(word: BraidWord) -> BraidWord:
         raise PreconditionError("word must be positive")
     (first, p), (last, q) = runs[0], runs[-1]
     if first == last:  # the seam of the rotation merges them
-        runs = (_syllable((first, p + q)),) + runs[1:-1]
+        runs = ((first, p + q),) + runs[1:-1]
     if first == GEN_B:
         runs = runs[1:] + runs[:1]
     return BraidWord(runs)

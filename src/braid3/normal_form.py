@@ -45,9 +45,7 @@ from collections import deque
 from itertools import chain
 
 from .burau import conjugates_to
-from .words import (
-    GEN_A, GEN_B, BraidWord, Value, _syllable, _word, delta_runs, display_runs,
-)
+from .words import GEN_A, GEN_B, BraidWord, Value, _word, delta_runs, display_runs
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -208,7 +206,7 @@ def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     functools.cached_property would), so it lives exactly as long as the form."""
     attrs = vars(form)
     if "_word" not in attrs:
-        attrs["_word"] = BraidWord(tuple(map(_syllable, tail_runs(form))), delta_exponent(form))
+        attrs["_word"] = BraidWord(tuple(tail_runs(form)), delta_exponent(form))
     return attrs["_word"]
 
 
@@ -310,7 +308,7 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
             front = _D_RUNS[:2]
             exps[0] += 1
     runs = zip(map(_GEN_FLIP[flip].__getitem__, bits), exps)
-    return DeltaSplit(k=e >> 1, positive_part=BraidWord(front + tuple(map(_syllable, runs))))
+    return DeltaSplit(k=e >> 1, positive_part=BraidWord(front + tuple(runs)))
 
 
 # ---------------------------------------------------------------------------

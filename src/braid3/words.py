@@ -3,8 +3,9 @@ Braid words in the 3-strand braid group B3.
 
 B3 is generated by a (= sigma_1, crossing strands 1 and 2) and b (= sigma_2,
 crossing strands 2 and 3), subject to the braid relation aba = bab.  A braid
-word is stored in run-length form: a tuple of syllables (generator, exponent)
-with nonzero exponents and no two adjacent syllables on the same generator.
+word is stored in run-length form: a tuple of syllables, plain
+(generator, exponent) tuples with nonzero exponents and no two adjacent
+syllables on the same generator.
 The empty tuple is the identity.  Every word is D^delta * tail, a power of
 the half twist kept as a number and a merged tail, so D^k costs what the
 tail costs; mirror keeps delta, but inverse, swap_generators and ** expand
@@ -27,9 +28,9 @@ signed-int is a nonzero decimal integer.
 from __future__ import annotations
 
 import os
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 GEN_A = "a"
 GEN_B = "b"
@@ -100,34 +101,6 @@ class Value:
     __delattr__ = __setattr__
 
 
-class _Run(NamedTuple):
-    gen: str
-    exp: int
-
-
-class Syllable(_Run):
-    """One run g^e with e != 0, an immutable (gen, exp) pair.
-
-    Calling Syllable(gen, exp) validates its arguments; so do parse and
-    BraidWord.from_runs, on text and runs from outside the package.  The
-    word operations below build syllables from ones already valid and skip
-    the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, gen: str, exp: int):
-        if gen not in _OTHER:
-            raise ValueError(f"unknown generator {gen!r}")
-        if exp == 0:
-            raise ValueError("syllable exponent must be nonzero")
-        return tuple.__new__(cls, (gen, exp))
-
-
-#: Syllable from a (gen, exp) pair known to be valid, without the check
-_syllable = partial(tuple.__new__, Syllable)
-
-
 def _word(runs: Iterable[tuple[str, int]], delta: int = 0) -> BraidWord:
     """BraidWord.from_runs for runs on valid generators, built inside the
     package: a run-length merge in which runs that cancel to zero drop out,
@@ -143,7 +116,7 @@ def _word(runs: Iterable[tuple[str, int]], delta: int = 0) -> BraidWord:
                 continue
             run = (gen, exp)
         out.append(run)
-    return BraidWord(tuple(map(_syllable, out)), delta)
+    return BraidWord(tuple(out), delta)
 
 
 class BraidWord(Value):
@@ -158,7 +131,7 @@ class BraidWord(Value):
     #: k of the leading D^k kept as a number; a word with k != 0 stores it
     delta = 0
 
-    def __init__(self, tail: tuple[Syllable, ...] = (), delta: int = 0):
+    def __init__(self, tail: tuple[tuple[str, int], ...] = (), delta: int = 0):
         attrs = self.__dict__
         attrs["tail"] = tail
         if delta:
@@ -168,12 +141,16 @@ class BraidWord(Value):
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> BraidWord:
-        """Merge (gen, exp) runs into a word; zero exponents drop out.
-        Raises ValueError on a generator other than a or b."""
-        runs = list(runs)
-        for gen, _ in runs:
+        """Merge (gen, exp) runs, pairs of any sequence type, into a word;
+        zero exponents drop out.  Raises ValueError on a generator other
+        than a or b, or on an exponent whose type is not int."""
+        runs = [(gen, exp) for gen, exp in runs]
+        for gen, exp in runs:
             if gen not in _OTHER:
                 raise ValueError(f"unknown generator {gen!r}")
+            # bool is a subclass of int, and a float such as 2.0 compares equal to one
+            if type(exp) is not int:
+                raise ValueError(f"exponent must be an integer, got {exp!r}")
         return _word(runs)
 
     @cached_property
@@ -187,7 +164,7 @@ class BraidWord(Value):
         return k - c, BraidWord(delta_runs(c)) * BraidWord(self.tail)
 
     @cached_property
-    def syllables(self) -> tuple[Syllable, ...]:
+    def syllables(self) -> tuple[tuple[str, int], ...]:
         # read only when delta != 0; D^h's last run a^(+-1) and rest's first
         # merge into one a^(+-2)
         h, rest = self._seam
@@ -204,7 +181,7 @@ class BraidWord(Value):
     def __hash__(self) -> int:
         return hash(self.syllables)
 
-    def __iter__(self) -> Iterator[Syllable]:
+    def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(self.syllables)
 
     def __len__(self) -> int:
@@ -233,7 +210,7 @@ class BraidWord(Value):
             j -= 1
             i += 1
             if exp:
-                return BraidWord(left[:j] + (_syllable((gen, exp)),) + right[i:], self.delta)
+                return BraidWord(left[:j] + ((gen, exp),) + right[i:], self.delta)
         return BraidWord(left[:j] + right[i:], self.delta)
 
     def __pow__(self, k: int) -> BraidWord:
@@ -243,18 +220,18 @@ class BraidWord(Value):
 
     def inverse(self) -> BraidWord:
         # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
-        tail = tuple(_syllable((g, -e)) for g, e in reversed(self.tail))
+        tail = tuple((g, -e) for g, e in reversed(self.tail))
         return BraidWord(tail) * BraidWord(delta_runs(-self.delta))
 
     def mirror(self) -> BraidWord:
         """Negate every exponent in place; the closure of the result is the
         mirror (with reversed orientation) of the closure of self.  D^k's
         runs are signed like k, so D^k t mirrors to D^-k and the mirrored tail."""
-        return BraidWord(tuple(_syllable((g, -e)) for g, e in self.tail), -self.delta)
+        return BraidWord(tuple((g, -e) for g, e in self.tail), -self.delta)
 
     def swap_generators(self) -> BraidWord:
         """Exchange a and b (conjugation by the half twist), expanding D^k."""
-        return BraidWord(tuple(_syllable((_OTHER[g], e)) for g, e in self.syllables))
+        return BraidWord(tuple((_OTHER[g], e) for g, e in self.syllables))
 
     def writhe(self) -> int:
         return 3 * self.delta + sum(e for _, e in self.tail)
@@ -288,12 +265,10 @@ class BraidWord(Value):
 
 
 #: the runs a, b, a^2 of D's block and A, B, A^2 of D^-1's, indexed by k > 0
-_DELTA_SYLLABLES = tuple(
-    (_syllable((GEN_A, s)), _syllable((GEN_B, s)), _syllable((GEN_A, 2 * s))) for s in (-1, 1)
-)
+_DELTA_SYLLABLES = tuple(((GEN_A, s), (GEN_B, s), (GEN_A, 2 * s)) for s in (-1, 1))
 
 
-def delta_runs(k: int) -> tuple[Syllable, ...]:
+def delta_runs(k: int) -> tuple[tuple[str, int], ...]:
     """The merged runs of D^k (k may be negative), a b (a^2 b)^(|k|-1) a
     with every exponent signed like k; every run is one of six shared
     syllables, whatever k is."""

@@ -30,7 +30,7 @@ def _letter(gen, exp, t):
 
 
 def _letters(word):
-    return sum(abs(syl.exp) for syl in word.syllables)
+    return sum(abs(exp) for _, exp in word.syllables)
 
 
 def _matrix(word, t):

@@ -81,7 +81,7 @@ class SweepStats:
 
 
 def _key(word: BraidWord):
-    return tuple((s.gen, s.exp) for s in word)
+    return word.syllables
 
 
 def _examine(word: BraidWord, stats: SweepStats, record: bool) -> None:

@@ -85,7 +85,7 @@ class TestTorusSum:
             if not word.is_knot():
                 continue
             cert = torus_sum_cobordism(word)
-            pairs = [(s.exp) for s in cert.start.syllables]
+            pairs = [exp for _, exp in cert.start.syllables]
             r = len(pairs) // 2
             eps = sum(1 for m in cert.moves if m.kind == "insert_generator")
             assert cert.genus == Fraction(r - 1 + eps, 2)

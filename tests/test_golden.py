@@ -104,7 +104,7 @@ def _cobordism_lines() -> list[str]:
     for it and each tampered copy."""
     certs = [
         torus_sum_cobordism(w) for w in reduced_words(7)
-        if w.is_knot() and all(s.exp > 0 for s in w) and len({s.gen for s in w}) == 2
+        if w.is_knot() and all(exp > 0 for _, exp in w) and len({gen for gen, _ in w}) == 2
     ]
     certs += [twist_trick(w, n) for w in reduced_words(5) if w.is_knot() for n in (1, 2)]
     assert len(certs) == 54 + 176

@@ -92,8 +92,8 @@ class TestDeltaPositiveSplit:
         # 2 letters per inverse letter, plus 3 when their count is odd
         for _ in range(300):
             w = random_word(rng, rng.randrange(0, 30))
-            inverse = sum(-s.exp for s in w if s.exp < 0)
-            positive = sum(s.exp for s in w if s.exp > 0)
+            inverse = sum(-exp for _, exp in w if exp < 0)
+            positive = sum(exp for _, exp in w if exp > 0)
             split = delta_positive_split(w)
             assert len(split.positive_part) == positive + 2 * inverse + 3 * (inverse % 2)
             assert split.k == -((inverse + 1) // 2)
@@ -104,8 +104,8 @@ class TestDeltaPositiveSplit:
         for _ in range(300):
             k = rng.randint(-6, 6)
             tail = random_word(rng, rng.randrange(0, 20))
-            inverse = sum(-s.exp for s in tail if s.exp < 0)
-            positive = sum(s.exp for s in tail if s.exp > 0)
+            inverse = sum(-exp for _, exp in tail if exp < 0)
+            positive = sum(exp for _, exp in tail if exp > 0)
             w = parse(f"D^{k} {tail.display()}" if k else tail.display())
             split = delta_positive_split(w)
             e = k - inverse

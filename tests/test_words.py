@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braid3.burau import _image
-from braid3.normal_form import GarsideC, MurasugiGeneric, garside_normal_form, realize
+from braid3.cobordism import torus_sum_cobordism, twist_trick
+from braid3.invariants import build_report
+from braid3.normal_form import (
+    GarsideC, MurasugiGeneric, delta_positive_split, garside_normal_form, realize,
+)
 from braid3.words import (
     BraidWord,
     ParseError,
-    Syllable,
     WordLimitError,
     delta_power,
     parse,
@@ -21,7 +24,7 @@ from conftest import LETTER_RUNS, random_word, reduced_words
 
 
 def runs(word):
-    return [(s.gen, s.exp) for s in word]
+    return list(word)
 
 
 def cycle_type(perm: tuple[int, int, int]) -> tuple[int, ...]:
@@ -194,24 +197,31 @@ class TestGroupOperations:
         assert w.mirror().mirror() == w
         assert w.mirror().writhe() == -w.writhe()
 
-    def test_syllable_invariants(self):
-        with pytest.raises(ValueError):
-            Syllable("a", 0)
-        with pytest.raises(ValueError):
-            Syllable("c", 1)
-
     def test_from_runs_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
             BraidWord.from_runs([("c", 1)])
         with pytest.raises(ValueError):
             BraidWord.from_runs([("a", 1), ("A", 2)])
 
+    @pytest.mark.parametrize("exp", [1.5, 2.0, True, "2"])
+    def test_from_runs_rejects_non_int_exponent(self, exp):
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([("a", exp)])
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([("b", 1), ("a", exp)])
+
+    def test_from_runs_takes_list_runs_as_tuples(self):
+        w = BraidWord.from_runs([["a", 2], ["b", -1], ["b", 3]])
+        assert w.syllables == (("a", 2), ("b", 2))
+        assert all(type(run) is tuple for run in w.syllables)
+        assert hash(w) == hash(BraidWord.from_runs([("a", 2), ("b", 2)]))
+
     def test_adjacent_runs_distinct(self, rng):
         for _ in range(200):
             w = random_word(rng, rng.randrange(0, 20))
-            for left, right in zip(w.syllables, w.syllables[1:]):
-                assert left.gen != right.gen
-            assert all(s.exp != 0 for s in w)
+            for (left, _), (right, _) in zip(w.syllables, w.syllables[1:]):
+                assert left != right
+            assert all(exp != 0 for _, exp in w)
 
 
 class TestMerge:
@@ -240,18 +250,13 @@ class TestMerge:
 
 
 class TestSyllableType:
-    def test_repr_and_fields(self):
-        s = Syllable("a", 2)
-        assert repr(s) == "Syllable(gen='a', exp=2)"
-        assert (s.gen, s.exp) == ("a", 2)
-        assert s == Syllable("a", 2) and hash(s) == hash(Syllable("a", 2))
-        assert Syllable("a", 2) != Syllable("b", 2)
-        assert Syllable("a", 2) != Syllable("a", -2)
+    """Every run braid3 hands out is a plain (str, int) tuple."""
 
-    def test_immutable(self):
-        s = Syllable("b", -1)
-        with pytest.raises(AttributeError):
-            s.exp = 3
+    @staticmethod
+    def _assert_plain(word):
+        for run in word.syllables:
+            assert type(run) is tuple and len(run) == 2, (word, run)
+            assert type(run[0]) is str and type(run[1]) is int, (word, run)
 
     def test_pickle_and_deepcopy_round_trip(self):
         word = parse("a^3 B a^-2 D^-2 b")
@@ -259,11 +264,13 @@ class TestSyllableType:
         for obj in (word, cert):
             for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
                 assert back == obj
-        back = pickle.loads(pickle.dumps(word))
-        assert all(type(s) is Syllable for s in back)
+        self._assert_plain(pickle.loads(pickle.dumps(word)))
+        self._assert_plain(copy.deepcopy(word))
 
     def test_every_operation_yields_syllables(self):
         w = parse("a^3 B a^-2 D^-3 b^2")
+        report = build_report(parse("a^3 B A^3 B"))
+        assert report.is_knot
         made = [
             w,
             w * parse("B^2 a"),
@@ -277,9 +284,16 @@ class TestSyllableType:
             realize(GarsideC(-2, ((2, 3), (4, 2)))),
             realize(MurasugiGeneric(1, ((1, 2),))),
             BraidWord.from_runs([("a", 2), ("b", 0), ("a", -1)]),
+            delta_positive_split(w).positive_part,
+            realize(report.garside),
+            realize(report.murasugi),
+            report.garside_certificate.conjugator,
+            report.murasugi_certificate.conjugator,
+            torus_sum_cobordism(parse("a^2 b^2 a^3 b^3")).start,
+            twist_trick(parse("a b"), 2).start,
         ]
         for word in made:
-            assert all(type(s) is Syllable for s in word.syllables), word
+            self._assert_plain(word)
 
 
 class TestWritheAndPermutation:
@@ -345,7 +359,7 @@ class TestDeltaPrefix:
         w = _delta_prefixed(k, tail)
         plain = BraidWord.from_runs(w.syllables)
         assert w.delta == k
-        assert w.syllables == tuple(plain) and all(type(s) is Syllable for s in w.syllables)
+        assert w.syllables == tuple(plain) and all(type(s) is tuple for s in w.syllables)
         assert w == plain and plain == w
         for op in (
             lambda x: x,
