@@ -250,6 +250,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if len(args.words) != (0 if args.cert else 2):
+        print("verify needs two words or --cert FILE", file=sys.stderr)
+        return EXIT_PRECONDITION
     if args.cert:
         try:
             with open(args.cert, "r", encoding="utf-8") as fh:
@@ -261,9 +264,6 @@ def cmd_verify(args) -> int:
         result = verify_cobordism(cert)
         print(json.dumps({"verified": bool(result), "reasons": list(result.reasons)}))
         return EXIT_OK if result else EXIT_FALSE
-    if len(args.words) != 2:
-        print("verify needs two words or --cert FILE", file=sys.stderr)
-        return EXIT_PRECONDITION
     u, v = (parse(w) for w in args.words)
     equal = words_equal(u, v)
     # conjugate exactly when the Garside normal forms coincide

@@ -19,7 +19,8 @@ and to exactly one classical (Murasugi) shape
 The classifier works constructively: delta_positive_split eliminates
 inverse letters through a^-1 = D^-1 ab and b^-1 = D^-1 ba,
 _extract_half_twists pulls half twists out of the positive remainder in
-one stack pass, and _classify sorts the alternating residue into its case.
+one stack pass, and _classify sorts the residue into its case.  Merged runs
+alternate generators, so a tail is held as one generator and exponents.
 Every step preserves the group element or conjugates by a word appended
 to one list of pieces, and the Murasugi conversion appends its own pieces
 the same way, so each result ships with a ConjugacyCertificate, which the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
+from itertools import chain, cycle
 
 from .burau import conjugates_to
 from .words import GEN_A, GEN_B, BraidWord, Value, _word, delta_runs, display_runs
@@ -248,7 +249,7 @@ class DeltaSplit(Value):
 _BIT = {GEN_A: 0, GEN_B: 1}
 _GEN = (GEN_A, GEN_B)
 
-#: bit -> generator, and the same after an odd number of D^-1 (indexed by parity)
+#: one period of the alternating generators from a (index 0) and from b (index 1)
 _GEN_FLIP = (_GEN, _GEN[::-1])
 
 #: the half twist D = aba, as conjugator runs
@@ -269,45 +270,42 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
     letter of the tail, plus 3 when e is odd, whatever delta is.  Pure word
     arithmetic, no conjugation.
 
-    One pass merges the runs of P into a list of stored bits and one of
-    exponents; every exponent is positive, so nothing cancels.  An inverse
-    run g^-n gives the letters x1 y1 x2 y2 ... xn yn with y_i = x_(i+1),
-    which merge into n + 1 runs x1^1 x2^2 ... xn^2 y_n^1.
+    One pass merges the runs of P into a list of exponents and keeps the
+    stored bit of the last run only: merged runs alternate generators, so
+    P's first letter fixes them all.  Every exponent is positive, so nothing
+    cancels.  An inverse run g^-n gives the letters x1 y1 x2 y2 ... xn yn
+    with y_i = x_(i+1), which merge into n + 1 runs x1^1 x2^2 ... xn^2 y_n^1.
     """
     tail = word.tail
     if all(exp > 0 for _, exp in tail):  # P is the tail, after D^(delta & 1)
         e = word.delta
         part = BraidWord(tail) if e else word
         return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * part if e & 1 else part)
-    bits: list[int] = []  # generator bit XOR parity of m so far
     exps: list[int] = []
-    m = 0
+    last = m = 0  # last: the stored bit of the last run, a generator bit XOR parity of m
     for gen, exp in tail:
         x = _BIT[gen] ^ (m & 1)
         n = 0
         if exp < 0:  # the first letter counts its own D^-1
             n, exp, x = -exp, 1, x ^ 1
             m += n
-        if bits and bits[-1] == x:
+        if exps and last == x:
             exps[-1] += exp
         else:
-            bits.append(x)
             exps.append(exp)
-        if n == 1:
-            bits.append(x ^ 1)
-            exps.append(1)
-        elif n:  # n - 1 squares, then a single, alternating from x ^ 1
-            bits += [x ^ 1, x] * (n >> 1) + [x ^ 1] * (n & 1)
+        if n:  # n - 1 squares, then a single, alternating from x ^ 1
             exps += [2] * (n - 1)
             exps.append(1)
-    e, flip = word.delta - m, m & 1
+        last = x ^ (n & 1)
+    e = word.delta - m
+    first = _BIT[tail[0][0]] ^ (tail[0][1] < 0) ^ (m & 1)  # P's first generator bit
     front = ()
     if e & 1:  # D = a b a in front; its last a merges into a leading a-run of P
         front = _D_RUNS
-        if bits[0] == flip:
+        if not first:
             front = _D_RUNS[:2]
             exps[0] += 1
-    runs = zip(map(_GEN_FLIP[flip].__getitem__, bits), exps)
+    runs = zip(cycle(_GEN_FLIP[first]), exps)
     return DeltaSplit(k=e >> 1, positive_part=BraidWord(front + tuple(runs)))
 
 
@@ -317,19 +315,19 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
 # conj * original * conj^-1 with conj the pieces multiplied last first.
 
 
-def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int, list, list]:
+def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int, int, list]:
     """Pull D factors out of D^n * positive until no rotation of the tail
-    exposes one; return the new n and the generator bits and exponents of
-    the tail, whose runs alternate between the generators.
+    exposes one; return the new n, the generator bit of the tail's first
+    run and the tail's exponents, its runs alternating generators from it.
 
-    One left-to-right pass reads the runs by index and pushes them onto a
-    stack; at most one run waits outside it, held as a generator bit and an
-    exponent.  Every stack run strictly between the bottom and the one below
-    the top has exponent >= 2, so when the run below the top is a single h
-    between g-runs, g h g = D is extracted there: u D v = D tau(u) v moves it
-    to the front and exchanges the generators of the stack below.  An entry
-    stores its generator bit XOR the parity of n when pushed, so that
-    exchange is n += 1.  The rest of the extracted top run waits.
+    One left-to-right pass reads the runs by index and pushes their
+    exponents onto a stack whose runs alternate from the generator of its
+    bottom run; at most one run waits outside it, as a bit and an exponent.
+    Every stack run strictly between the bottom and the one below the top
+    has exponent >= 2, so when the run below the top is a single h between
+    g-runs, g h g = D is extracted there: u D v = D tau(u) v moves it to
+    the front and exchanges the generators of the stack below, which flips
+    the bottom generator.  The rest of the extracted top run waits.
 
     When the input is used up, the tail still has a half twist exactly
     when its rotation through D^n does: a single at the bottom or the top
@@ -337,14 +335,14 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
     then continues by rotating the bottom letter onto the top, conjugating
     it through D^n; that letter waits.  Each extraction removes three letters
     and follows at most two such rotations, so the work is linear in the
-    letter count.  The stacks are deques because a rotation deletes at the
+    letter count.  The stack is a deque because a rotation deletes at the
     bottom.
     """
-    bits: deque[int] = deque()  # generator bit XOR parity of n at push
     exps: deque[int] = deque()
     runs = positive.tail
     i, count = 0, len(runs)
-    g = wait = 0  # the waiting run, pushed before runs[i] when wait > 0: actual bit, exponent
+    first = 0  # the generator bit of the bottom run
+    g = wait = 0  # the waiting run, pushed before runs[i] when wait > 0: bit, exponent
     idle = 0  # rotations since the last extraction
     while True:
         while True:
@@ -356,20 +354,19 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
                 i += 1
             else:
                 break
-            if bits and bits[-1] ^ (n & 1) == g:
+            if exps and first ^ ((len(exps) - 1) & 1) == g:  # the top run is on g
                 exps[-1] += e
             else:
-                bits.append(g ^ (n & 1))
+                first = first if exps else g  # g starts an empty stack
                 exps.append(e)
             if len(exps) >= 3 and exps[-2] == 1:
-                top, e = bits.pop(), exps.pop()
-                del bits[-1], exps[-1]
+                wait = exps.pop() - 1  # the rest of the top run waits on g
+                del exps[-1]
                 if exps[-1] == 1:
-                    del bits[-1], exps[-1]
+                    del exps[-1]
                 else:
                     exps[-1] -= 1
-                if e > 1:
-                    g, wait = top ^ (n & 1), e - 1
+                first ^= 1
                 n += 1
                 idle = 0
         # a seam that merges the boundary runs, or a tail of at most two
@@ -386,15 +383,14 @@ def _extract_half_twists(n: int, positive: BraidWord, pieces: list) -> tuple[int
             raise InternalInconsistencyError(
                 "expected half twist did not surface under rotation"
             )
-        bottom = bits[0]
+        g, wait = first ^ (n & 1), 1  # the bottom letter, conjugated through D^n
         if exps[0] == 1:
-            del bits[0], exps[0]
+            del exps[0]
+            first ^= 1
         else:
             exps[0] -= 1
-        # through D^n the letter's generator becomes its stored bit
-        g, wait = bottom, 1
-        pieces.append(((_GEN[bottom], -1),))
-    return n, [b ^ (n & 1) for b in bits], list(exps)
+        pieces.append(((_GEN[g], -1),))
+    return n, first, list(exps)
 
 
 def _least_rotation(seq: list, top=None) -> int:
@@ -442,9 +438,9 @@ def _rotate_canonically(n: int, exps: list[int], pieces: list) -> list[int]:
     return exps[shift:] + exps[:shift]
 
 
-def _classify(n: int, bits: list[int], exps: list[int], pieces: list) -> GarsideForm:
+def _classify(n: int, first: int, exps: list[int], pieces: list) -> GarsideForm:
     """Sort the extracted D^n * tail into its case, canonically rotated;
-    the tail alternates generators from bits[0] with exponents exps."""
+    the tail alternates generators from the bit first with exponents exps."""
     if not exps:
         if n % 2 == 0:
             return GarsideA(n // 2, 0)
@@ -452,7 +448,7 @@ def _classify(n: int, bits: list[int], exps: list[int], pieces: list) -> Garside
         pieces.append(((GEN_A, 1),))
         return GarsideB((n - 1) // 2, 2)
 
-    if bits[0]:
+    if first:
         # conjugating by D exchanges the generators: the tail leads with a
         pieces.append(_D_RUNS)
 

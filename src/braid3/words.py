@@ -146,7 +146,7 @@ class BraidWord(Value):
         than a or b, or on an exponent whose type is not int."""
         runs = [(gen, exp) for gen, exp in runs]
         for gen, exp in runs:
-            if gen not in _OTHER:
+            if gen not in (GEN_A, GEN_B):
                 raise ValueError(f"unknown generator {gen!r}")
             # bool is a subclass of int, and a float such as 2.0 compares equal to one
             if type(exp) is not int:

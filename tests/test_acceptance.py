@@ -84,14 +84,16 @@ def _key(word: BraidWord):
     return word.syllables
 
 
-def _examine(word: BraidWord, stats: SweepStats, record: bool) -> None:
+def _examine(word: BraidWord, stats: SweepStats, record: bool):
+    """Run every per-word check; return the word's Garside form, or None
+    when classifying it failed, which cert_failures records."""
     stats.words += 1
     try:
         gform, gcert = garside_normal_form(word)
         mform, mcert = murasugi_from_garside(gform, gcert)
     except InternalInconsistencyError as exc:  # braid3's oracle rejected one
         stats.cert_failures.append(("braid3", word.display(), str(exc)))
-        return
+        return None
     for name, cert in (("garside", gcert), ("murasugi", mcert)):
         if burau_reference.conjugates(cert.conjugator, cert.source, cert.target):
             stats.certificates += 1
@@ -119,6 +121,7 @@ def _examine(word: BraidWord, stats: SweepStats, record: bool) -> None:
             stats.genus_bound_failures.append(word.display())
     if record:
         stats.values[_key(word)] = (ups, sig, omega)
+    return gform
 
 
 def _random_words():
@@ -133,11 +136,11 @@ def _sweep_share(share: int, shares: int) -> SweepStats:
     for word in itertools.islice(reduced_words(EXHAUSTIVE_LEN), share, None, shares):
         _examine(word, stats, record=True)
     for word in itertools.islice(_random_words(), share, None, shares):
-        _examine(word, stats, record=False)
+        gform = _examine(word, stats, record=False)
+        if gform is None:  # its classification failed, see cert_failures
+            continue
         # pair each random word with its mirror so antisymmetry is covered
-        mirror = word.mirror()
-        gform, _ = garside_normal_form(word)
-        mform, _ = garside_normal_form(mirror)
+        mform, _ = garside_normal_form(word.mirror())
         if fdtc(mform) != -fdtc(gform):
             stats.mirror_failures.append(("fdtc", word.display()))
         if word.is_knot() and upsilon(mform) != -upsilon(gform):

@@ -299,6 +299,15 @@ class TestVerify:
         assert code == 3 and out == ""
         assert err == "verify needs two words or --cert FILE\n"
 
+    @pytest.mark.parametrize("words", [["a"], ["a^3 b^3", "b^3 a^3"]])
+    def test_cert_with_words_is_a_usage_error(self, capsys, tmp_path, words):
+        _, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "verify", "--cert", str(path), *words)
+        assert code == 3 and out == ""
+        assert err == "verify needs two words or --cert FILE\n"
+
     def test_twist_region_below_one(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "a b", "--kind", "twist", "--n", "1")
         data = json.loads(out)

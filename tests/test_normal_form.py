@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -469,6 +470,13 @@ def long_cases():
     ]
 
 
+#: sha256 over the lines form_display(Garside form), form_display(Murasugi
+#: form), Garside conjugator, Murasugi conjugator (each conjugator's
+#: display()) of every long_cases() word and then A^100000 b^3, joined by
+#: newlines; computed while the extraction still kept a generator bit per run
+LONG_CONJUGATOR_DIGEST = "822149b9d0ff1235594f1f12730d0a58c2e13f496f45218dbb5cec414b81e08f"
+
+
 class TestLongInputs:
     """Words far beyond the sweep.  Classifying is linear in the letter
     count, so these take seconds; no timing is asserted."""
@@ -482,14 +490,21 @@ class TestLongInputs:
             return verdicts[-1]
 
         monkeypatch.setattr(ConjugacyCertificate, "verify", recording)
-        cases = long_cases()
+        cases = long_cases() + [
+            (parse("A^100000 b^3"), GarsideC(-50000, ((5, 2),) + ((2, 2),) * 49999),
+             MurasugiGeneric(0, ((100000, 3),))),
+        ]
+        lines = []
         for word, garside, murasugi in cases:
             gform, gcert = garside_normal_form(word)
-            mform, _ = murasugi_from_garside(gform, gcert)
+            mform, mcert = murasugi_from_garside(gform, gcert)
             if garside is not None:
                 assert (gform, mform) == (garside, murasugi)
-        assert len(cases[-1][0]) == 30000
+            lines += [form_display(gform), form_display(mform),
+                      gcert.conjugator.display(), mcert.conjugator.display()]
+        assert len(cases[-2][0]) == 30000
         assert verdicts == [True] * (2 * len(cases))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LONG_CONJUGATOR_DIGEST
 
     def test_delta_powers_cost_their_tail(self, monkeypatch):
         # D^k stays a number from parse through the oracle, so these take
@@ -558,14 +573,18 @@ def reference_extract_half_twists(n, positive, pieces):
 
 
 class TestHalfTwistExtraction:
-    """The extraction reads the runs by index and keeps the one waiting run
-    in two locals; it must agree with the queue-based reference, pieces too."""
+    """The extraction reads the runs by index, keeps the one waiting run in
+    two locals and one generator bit for its alternating stack; it must
+    agree with the queue-based reference, which keeps a bit per run, on
+    every run's generator and on the pieces."""
 
     @staticmethod
     def assert_matches_reference(word):
         split = delta_positive_split(word)
         got, want = [], []
-        assert (_extract_half_twists(2 * split.k, split.positive_part, got)
+        n, first, exps = _extract_half_twists(2 * split.k, split.positive_part, got)
+        bits = [first ^ (i & 1) for i in range(len(exps))]
+        assert ((n, bits, exps)
                 == reference_extract_half_twists(2 * split.k, split.positive_part, want)), word
         assert got == want, word
 

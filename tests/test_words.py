@@ -202,6 +202,10 @@ class TestGroupOperations:
             BraidWord.from_runs([("c", 1)])
         with pytest.raises(ValueError):
             BraidWord.from_runs([("a", 1), ("A", 2)])
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([(["a"], 1)])
+        with pytest.raises(ValueError):
+            BraidWord.from_runs([({"a": 1}, 1)])
 
     @pytest.mark.parametrize("exp", [1.5, 2.0, True, "2"])
     def test_from_runs_rejects_non_int_exponent(self, exp):
