@@ -23,9 +23,10 @@ one stack pass, and _classify sorts the residue into its case.  Merged runs
 alternate generators, so a tail is held as one generator and exponents.
 Every step preserves the group element or conjugates by a word appended
 to one list of pieces, and the Murasugi conversion appends its own pieces
-the same way, so each result ships with a ConjugacyCertificate, which the
-exact word-problem oracle of module burau (the SL2(Z) image of the braid
-paired with its writhe) checks before it is returned.  Each
+the same way, so each result ships with a ConjugacyCertificate, a proof
+by construction: making one runs the exact word-problem oracle of module
+burau (the SL2(Z) image of the braid paired with its writhe).  The
+Murasugi one composes the Garside one with the checked conversion.  Each
 stage is linear in the letter count of the split word.
 
 Canonical rotation: among all cyclic rotations of the exponent sequence
@@ -227,10 +228,13 @@ def form_display(form: GarsideForm | MurasugiForm) -> str:
 
 
 class ConjugacyCertificate(Value):
-    """Witness that conjugator * source * conjugator^-1 = target in B3."""
+    """Proof that conjugator * source * conjugator^-1 = target in B3: making
+    one runs the oracle, and a false claim raises InternalInconsistencyError."""
 
     def __init__(self, conjugator: BraidWord, source: BraidWord, target: BraidWord):
         self.__dict__.update(conjugator=conjugator, source=source, target=target)
+        if not self.verify():
+            raise InternalInconsistencyError(f"certificate failed for {source.display()!r}")
 
     def verify(self) -> bool:
         return conjugates_to(self.conjugator, self.source, self.target)
@@ -479,29 +483,18 @@ def _classify(n: int, first: int, exps: list[int], pieces: list) -> GarsideForm:
 def garside_normal_form(word: BraidWord) -> tuple[GarsideForm, ConjugacyCertificate]:
     """Classify a 3-braid word up to conjugacy; total on all inputs.
 
-    Returns the canonical form together with an explicit conjugator taking
-    the input word to the realized normal form.  The certificate is checked
-    by the exact oracle before it is returned; a failed check raises
-    InternalInconsistencyError.
+    Returns the canonical form and the certificate, checked when it is made,
+    of an explicit conjugator taking the input word to the realized form.
     """
     split = delta_positive_split(word)
     pieces: list[tuple[tuple[str, int], ...]] = []  # conjugating words, in order
     form = _classify(*_extract_half_twists(2 * split.k, split.positive_part, pieces), pieces)
-    return form, _certified(word, form, _conjugator(pieces), "normal-form")
+    return form, ConjugacyCertificate(_conjugator(pieces), word, realize(form))
 
 
 def _conjugator(pieces: list) -> BraidWord:
     """The pieces multiplied last first, merged."""
     return _word(chain.from_iterable(reversed(pieces)))
-
-
-def _certified(source: BraidWord, form, conj: BraidWord, what: str) -> ConjugacyCertificate:
-    """The certificate taking source to the realized form by conj; the
-    oracle checks it and a failure raises InternalInconsistencyError."""
-    cert = ConjugacyCertificate(conj, source, realize(form))
-    if not cert.verify():
-        raise InternalInconsistencyError(f"{what} certificate failed for {source.display()!r}")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +545,8 @@ def murasugi_normal_form(word: BraidWord) -> tuple[MurasugiForm, ConjugacyCertif
 def murasugi_from_garside(
     gform: GarsideForm, gcert: ConjugacyCertificate
 ) -> tuple[MurasugiForm, ConjugacyCertificate]:
-    """Convert an already classified Garside form; see murasugi_normal_form."""
+    """Convert an already classified Garside form; see murasugi_normal_form.
+    gcert is a proof, so only the conversion is checked, on gcert's target."""
     pieces: list = []  # the conversion, which conjugates on top of gcert's
     if isinstance(gform, GarsideA):
         mform: MurasugiForm = MurasugiPower(gform.ell, gform.p)
@@ -570,6 +564,10 @@ def murasugi_from_garside(
             pieces.append(delta_runs(-1))
         pieces.append(((GEN_B, 1),))  # the conversion is b, or b D^-1 for case D
         mform = _generic_from_slots(gform.ell + gform.r, slots, pieces)
-    # both factors are merged, so only their seam can merge
-    conj = _conjugator(pieces) * gcert.conjugator
-    return mform, _certified(gcert.source, mform, conj, "conversion")
+    conv = ConjugacyCertificate(_conjugator(pieces), gcert.target, realize(mform))
+    # c s c^-1 = t and d t d^-1 = u give (dc) s (dc)^-1 = u, unchecked; both
+    # conjugators are merged, so only their seam can merge
+    cert = ConjugacyCertificate.__new__(ConjugacyCertificate)
+    vars(cert).update(conjugator=conv.conjugator * gcert.conjugator,
+                      source=gcert.source, target=conv.target)
+    return mform, cert

@@ -572,6 +572,24 @@ class TestReport:
             assert r.s_provenance is None and report_json(r)["flags"] == link_flags
         assert links == 75
 
+    def test_source_word_folded_once(self, monkeypatch):
+        # the Garside check folds the word; the Murasugi conversion is checked
+        # on the Garside target, and the composed certificate is not refolded
+        sources = []
+        conjugates_to = braid3.normal_form.conjugates_to
+
+        def recording(conjugator, source, target):
+            sources.append(source)
+            return conjugates_to(conjugator, source, target)
+
+        monkeypatch.setattr(braid3.normal_form, "conjugates_to", recording)
+        w = parse("a^3 B a^-3 B a^2 b^5")
+        r = build_report(w)
+        assert len(sources) == 2
+        assert [s is w for s in sources] == [True, False]
+        assert sources[1] is r.garside_certificate.target
+        assert r.murasugi_certificate.source is w
+
     def test_one_knot_decision_per_form(self, monkeypatch):
         # realize builds a form's word from tail_runs; count the builds, with
         # the function that asked for the word
@@ -596,7 +614,8 @@ class TestReport:
         assert r.is_knot
         # each form's word is built once, for its certificate, and is that
         # certificate's target; the knot decision reads that same word once
-        assert built == [(r.garside, "_certified"), (r.murasugi, "_certified")]
+        assert built == [(r.garside, "garside_normal_form"),
+                         (r.murasugi, "murasugi_from_garside")]
         words = [r.garside_certificate.target, r.murasugi_certificate.target]
         assert [realize(r.garside), realize(r.murasugi)] == words
         assert all(realize(f) is w for f, w in zip((r.garside, r.murasugi), words))

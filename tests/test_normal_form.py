@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import operator
 import random
+import re
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braid3.cli
 import braid3.normal_form
 from braid3.burau import conjugates_to, words_equal
 from braid3.normal_form import (
@@ -637,3 +639,61 @@ class TestMurasugiConjugator:
     def test_long_inputs(self, conversions):
         for word, _, _ in long_cases():
             self.assert_full_merge(word, conversions)
+
+
+@pytest.fixture
+def dropped_run(monkeypatch):
+    """_unrotate mutated to drop the first run of every conjugator it builds;
+    the list records, per call, whether there was a run to drop."""
+    dropped = []
+    unrotate = braid3.normal_form._unrotate
+
+    def mutated(pairs):
+        runs = unrotate(pairs)
+        dropped.append(bool(runs))
+        return runs[1:]
+
+    monkeypatch.setattr(braid3.normal_form, "_unrotate", mutated)
+    return dropped
+
+
+class TestCertificatesAreProofs:
+    """Making a ConjugacyCertificate runs the oracle, so a false claim
+    cannot be made; murasugi_from_garside checks only its conversion, on
+    the target of the Garside certificate it is given."""
+
+    def test_false_claim_raises(self):
+        with pytest.raises(InternalInconsistencyError, match="'a'"):
+            ConjugacyCertificate(parse("a"), parse("a"), parse("b"))
+        # D a D^-1 = b
+        assert ConjugacyCertificate(parse("D"), parse("a"), parse("b")).verify()
+
+    def test_mutated_conversion_raises(self, rng, dropped_run):
+        raised = 0
+        for _ in range(200):
+            gform, gcert = garside_normal_form(random_word(rng, rng.randrange(0, 41)))
+            del dropped_run[:]
+            try:
+                murasugi_from_garside(gform, gcert)
+            except InternalInconsistencyError:
+                raised += 1
+                assert any(dropped_run)
+            else:
+                assert not any(dropped_run)
+        assert raised > 0
+
+    def test_mutated_conversion_exits_4(self, capsys, dropped_run):
+        code = braid3.cli.main(["normalize", "--form", "murasugi", "a B^2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "certificate failed" in captured.err
+
+    def test_certificate_of_another_word_raises(self):
+        gform, gcert = garside_normal_form(parse("a^3 b A^2 b^2"))
+        _, other = garside_normal_form(parse("a^2 b^2 a^3 b^3"))
+        assert other.verify()
+        target = re.escape(repr(other.target.display()))
+        with pytest.raises(InternalInconsistencyError, match=target):
+            murasugi_from_garside(gform, other)
+        # the certificate of the right word converts
+        assert murasugi_from_garside(gform, gcert)[1].verify()
