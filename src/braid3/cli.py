@@ -301,6 +301,7 @@ def cmd_batch(args) -> int:
                     errors += 1
                 processed += 1
                 out.write(json.dumps(record) + "\n")
+            out.flush()  # a closed stdout pipe shows here, before the summary
     except OSError as exc:
         if isinstance(exc, BrokenPipeError) and not args.out:
             raise  # main reports it and silences the exit flush

@@ -281,10 +281,8 @@ def delta_positive_split(word: BraidWord) -> DeltaSplit:
     with y_i = x_(i+1), which merge into n + 1 runs x1^1 x2^2 ... xn^2 y_n^1.
     """
     tail = word.tail
-    if all(exp > 0 for _, exp in tail):  # P is the tail, after D^(delta & 1)
-        e = word.delta
-        part = BraidWord(tail) if e else word
-        return DeltaSplit(k=e >> 1, positive_part=BraidWord(_D_RUNS) * part if e & 1 else part)
+    if not tail:  # D^delta alone: P is D^(delta & 1)
+        return DeltaSplit(k=word.delta >> 1, positive_part=BraidWord(delta_runs(word.delta & 1)))
     exps: list[int] = []
     last = m = 0  # last: the stored bit of the last run, a generator bit XOR parity of m
     for gen, exp in tail:
@@ -457,14 +455,13 @@ def _classify(n: int, first: int, exps: list[int], pieces: list) -> GarsideForm:
         pieces.append(_D_RUNS)
 
     if len(exps) == 1:
-        p = exps[0]
         if n % 2 == 0:
-            return GarsideA(n // 2, p)
-        if p == 1:
+            return GarsideA(n // 2, exps[0])
+        if exps[0] == 1:
             # D^(2l+1) a = a^2 (D^2l a^3 b) a^-2
             pieces.append(((GEN_A, 2),))
             return GarsideB((n - 1) // 2, 3)
-        return GarsideD((n - 1) // 2, (), p)
+        # a^p with p >= 2 is case D without pairs, below
 
     if n % 2 == 0 and sum(exps) == 2:
         return GarsideB(n // 2, 1)

@@ -76,11 +76,10 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" not in vars(cls):
-            code = cls.__init__.__code__
-            cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
-            # value -> its field value, or the tuple of them; not a method
-            cls._values = attrgetter(*cls._fields)
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        # value -> its field value, or the tuple of them; not a method
+        cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -165,13 +164,10 @@ class BraidWord(Value):
 
     @cached_property
     def syllables(self) -> tuple[tuple[str, int], ...]:
-        # read only when delta != 0; D^h's last run a^(+-1) and rest's first
-        # merge into one a^(+-2)
+        # read only when delta != 0; the product merges D^h's last run
+        # a^(+-1) and rest's first into one a^(+-2)
         h, rest = self._seam
-        if not h:
-            return rest.syllables
-        a1, b1, a2 = _DELTA_SYLLABLES[h > 0]
-        return (a1, b1) + (a2, b1) * (abs(h) - 1) + (a2,) + rest.syllables[1:]
+        return (BraidWord(delta_runs(h)) * rest).syllables
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
@@ -237,9 +233,15 @@ class BraidWord(Value):
         return 3 * self.delta + sum(e for _, e in self.tail)
 
     def permutation(self) -> tuple[int, int, int]:
-        """Images of strands (1, 2, 3) under the word, read left to right."""
+        """Images of strands (1, 2, 3) under the word, read left to right;
+        only the parity of each exponent matters."""
         # D^2 is a pure braid and D reverses the strands
-        return runs_permutation(self.tail, (3, 2, 1) if self.delta & 1 else IDENTITY_PERM)
+        img = (3, 2, 1) if self.delta & 1 else IDENTITY_PERM
+        for gen, exp in self.tail:
+            if exp % 2:
+                t = _PERM[gen]
+                img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
+        return img
 
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
@@ -291,16 +293,6 @@ def display_runs(runs: Iterable[tuple[str, int]]) -> str:
 def delta_power(k: int) -> BraidWord:
     """The k-th power of the half twist D (k may be negative), as delta."""
     return BraidWord((), k)
-
-
-def runs_permutation(runs: Iterable[tuple[str, int]], img=IDENTITY_PERM) -> tuple[int, int, int]:
-    """Images of strands (1, 2, 3) under img followed by a run sequence,
-    read left to right; only the parity of each exponent matters."""
-    for gen, exp in runs:
-        if exp % 2:
-            t = _PERM[gen]
-            img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
-    return img
 
 
 def max_word_len() -> int:

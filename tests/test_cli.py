@@ -79,6 +79,13 @@ class TestNormalize:
         code, _, err = run(capsys, "normalize", text)
         assert code == 2 and "parse error" in err
 
+    def test_json_without_certificate(self, capsys):
+        code, out, _ = run(capsys, "normalize", "--json", "a^3 B a^-3 B")
+        assert code == 0 and out == (
+            '{"input": "a^3 B A^3 B", "form": {"display": "D^-3 a^7", "case": "D", '
+            '"ell": -2, "pairs": [], "p_r": 7}}\n'
+        )
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "normalize", "--json", "--certificate", "abababab")
         data = json.loads(out)
@@ -136,6 +143,19 @@ class TestInvariants:
         assert code == 0
         assert "upsilon: 0" in out
         assert "alt: [0, 1]" in out
+
+    def test_text_output_of_a_link(self, capsys):
+        code, out, _ = run(capsys, "invariants", "a")
+        absent = ("upsilon", "signature", "s", "genus3", "genus4", "tau", "alt", "dalt",
+                  "turaev", "minimal_r", "ballinger_t", "gamma4_lower")
+        assert code == 0 and out.splitlines() == [
+            "word: a", "garside: a", "murasugi: a", "components: 2", "is_knot: False",
+            *(f"{key}: absent" for key in absent), "fdtc: 0/1", "homogenized_upsilon: -1/2",
+        ]
+
+    def test_text_output_of_an_exact_interval(self, capsys):
+        code, out, _ = run(capsys, "invariants", "a^2 b^2 a^3 b^3")
+        assert code == 0 and "alt: 1" in out.splitlines()
 
     def test_report_round_trips_through_display(self, capsys):
         _, out1, _ = run(capsys, "invariants", "--json", "a^3 b A^2 b^2")
@@ -231,6 +251,11 @@ class TestCertify:
             code, out, err = run(capsys, "certify", word, "--kind", "torus-sum")
             assert code == 3 and out == "" and err == "closure is not a knot\n"
 
+    def test_torus_sum_needs_a_positive_word(self, capsys):
+        # the closure is a knot, so the positivity check is what refuses it
+        code, out, err = run(capsys, "certify", "a^2 B a b^2", "--kind", "torus-sum")
+        assert code == 3 and out == "" and err == "word must be positive\n"
+
 
 #: certify's JSON for one certificate of each kind
 FRESH_CERTIFICATES = [
@@ -317,6 +342,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--cert", str(path))
         assert code == 1
         assert json.loads(out) == {"verified": False, "reasons": ["twist region must have n >= 1"]}
+
+    @pytest.mark.parametrize("tamper, reasons", [
+        (lambda d: d["end_factors"][0].update(word="a"),
+         ["boundary components are not knots", "start word does not match construction"]),
+        (lambda d: d["end_factors"].reverse(), ["end expression does not match construction"]),
+        (lambda d: d["end_factors"].pop(0), ["end expression does not match construction"]),
+    ], ids=["closure-is-a-link", "factors-reversed", "torus-factor-alone"])
+    def test_malformed_twist_certificate(self, capsys, tmp_path, tamper, reasons):
+        _, out, _ = run(capsys, "certify", "a b", "--kind", "twist", "--n", "1")
+        data = json.loads(out)
+        tamper(data)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"verified": False, "reasons": reasons}
 
     def test_certificate_file_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "certify", "a^3 b^3", "--kind", "torus-sum")
@@ -690,11 +731,16 @@ class TestModuleEntryPoint:
         ["invariants", "a^3 B a^-3 B"],
         ["normalize", "--certificate", "a^3 B a^-3 B"],
         ["batch", "--csv", "words.csv"],
-    ], ids=["invariants", "normalize", "batch"])
+        ["batch", "--csv", "many.csv"],
+    ], ids=["invariants", "normalize", "batch", "batch-past-the-pipe-buffer"])
     def test_closed_stdout_pipe(self, argv, tmp_path):
         (tmp_path / "words.csv").write_text("name,word\none,a b\ntwo,a^3 B a^-3 B\n")
+        # enough reports to fill the pipe buffer: a write in batch's loop fails, not its flush
+        (tmp_path / "many.csv").write_text("name,word\n" + "row,a^3 B a^-3 B\n" * 2000)
         src = str(Path(braid3.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
+        # stdout block-buffered, as a pipe is by default: a short output fails at a flush
+        env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "braid3", *argv], cwd=tmp_path,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,

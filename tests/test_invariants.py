@@ -1,5 +1,6 @@
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -313,6 +314,14 @@ class TestQuasimorphisms:
         for ell in (-2, 0, 3):
             assert homogenized_upsilon(GarsideA(ell, 0)) == -2 * ell
         assert homogenized_upsilon(GarsideB(1, 1)) == Fraction(-8, 3)
+
+    @pytest.mark.parametrize("form", [
+        MurasugiPower(0, 3), MurasugiHalfTwist(1), MurasugiTorus(0, "ab"), MurasugiGeneric(0, ((1, 2),)),
+    ], ids=["power", "half-twist", "torus", "generic"])
+    def test_murasugi_forms_rejected(self, form):
+        for quasimorphism in (fdtc, homogenized_upsilon):
+            with pytest.raises(TypeError, match=re.escape(repr(form))):
+                quasimorphism(form)
 
     def test_homogenized_equals_upsilon_on_knot_classes(self, rng):
         for _ in range(200):

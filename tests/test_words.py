@@ -107,10 +107,10 @@ class TestParse:
             parse("a^0")
 
     def test_dangling_caret_rejected(self):
-        with pytest.raises(ParseError):
-            parse("a^")
-        with pytest.raises(ParseError):
-            parse("a^-")
+        for text in ("a^", "a^-", "a^x"):
+            with pytest.raises(ParseError, match="expected integer exponent after '\\^'") as exc:
+                parse(text)
+            assert exc.value.position == 3
 
     def test_non_ascii_digits_rejected(self):
         # str.isdigit accepts both; int() rejects "²" and reads "٣" as 3
@@ -123,6 +123,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a^11")
         assert runs(parse("a^10")) == [("a", 10)]
+
+    def test_length_guard_counts_a_d_as_three_letters(self, monkeypatch):
+        monkeypatch.setenv("BRAID3_MAX_WORD_LEN", "5")
+        assert parse("D a b") == parse("aba a b")
+        with pytest.raises(ParseError, match="BRAID3_MAX_WORD_LEN=5") as exc:
+            parse("D^2")
+        assert exc.value.position == 3
 
     def test_overlong_exponent_is_the_guard_error(self):
         # past int()'s 4300-digit limit, which must not be reached
