@@ -39,7 +39,7 @@ from .cobordism import (
     twist_trick,
     verify as verify_cobordism,
 )
-from .invariants import InvariantReport, IntInterval, NotAKnotError, build_report
+from .invariants import InvariantReport, NotAKnotError, build_report
 from .normal_form import (
     InternalInconsistencyError,
     form_display,
@@ -59,12 +59,6 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _interval_json(iv: IntInterval | None):
-    if iv is None:
-        return None
-    return {"lo": iv.lo, "hi": iv.hi, "exact": iv.exact}
-
-
 def _form_json(form) -> dict:
     # the fields its class lists once, in order, read shallowly; pairs dump as arrays
     shallow = {name: getattr(form, name) for name in form._fields}
@@ -82,7 +76,8 @@ def report_json(report: InvariantReport) -> dict:
     'interval' for `alt`, `dalt` and `turaev` as the interval's ends agree
     or not, 'exact (<provenance>)' for `s`, and 'exact' for the rest."""
     # one interval bounds all three distances, so the three keys share its dict
-    alt = _interval_json(report.alt)
+    iv = report.alt
+    alt = None if iv is None else {"lo": iv.lo, "hi": iv.hi, "exact": iv.exact}
     data = {
         "word": report.word.display(),
         "components": report.components,
@@ -143,7 +138,7 @@ def cmd_normalize(args) -> int:
         return EXIT_OK
     print(_identity_text(form))
     if args.certificate:
-        print(f"conjugator: {cert.conjugator.display() or '<identity>'}")
+        print(f"conjugator: {cert.conjugator}")
         print("verified: yes")
     return EXIT_OK
 
@@ -162,7 +157,7 @@ def cmd_invariants(args) -> int:
     if args.json:
         print(json.dumps(data))
         return EXIT_OK
-    print(f"word: {word.display() or '<identity>'}")
+    print(f"word: {word}")
     print(f"garside: {_identity_text(report.garside)}")
     print(f"murasugi: {_identity_text(report.murasugi)}")
     for key in _TEXT_FIELDS:

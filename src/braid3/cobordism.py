@@ -106,11 +106,11 @@ class CobordismCertificate(Value):
 
 
 class VerificationResult(Value):
-    def __init__(self, ok: bool, reasons: tuple[str, ...] = ()):
-        self.__dict__.update(ok=ok, reasons=reasons)
+    def __init__(self, reasons: tuple[str, ...]):
+        self.__dict__["reasons"] = reasons
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.reasons
 
 
 def _alternating_pairs(word: BraidWord) -> list[tuple[int, int]]:
@@ -258,4 +258,4 @@ def _replay(cert: CobordismCertificate, built: CobordismCertificate | None) -> V
         if gap * den > num:
             reasons.append("upsilon gap exceeds genus")
 
-    return VerificationResult(not reasons, tuple(reasons))
+    return VerificationResult(tuple(reasons))

@@ -248,7 +248,7 @@ class InvariantReport(Value):
     def __init__(
         self, word: BraidWord, garside: GarsideForm, murasugi: MurasugiForm,
         garside_certificate: ConjugacyCertificate, murasugi_certificate: ConjugacyCertificate,
-        components: int, is_knot: bool, fdtc: Fraction, homogenized_upsilon: Fraction,
+        components: int, fdtc: Fraction, homogenized_upsilon: Fraction,
         upsilon: int | None = None, signature: int | None = None,
         rasmussen_s: int | None = None, s_provenance: str | None = None,
         genus3: int | None = None, genus4: int | None = None, tau: int | None = None,
@@ -258,12 +258,16 @@ class InvariantReport(Value):
         self.__dict__.update(
             word=word, garside=garside, murasugi=murasugi,
             garside_certificate=garside_certificate, murasugi_certificate=murasugi_certificate,
-            components=components, is_knot=is_knot, fdtc=fdtc,
+            components=components, fdtc=fdtc,
             homogenized_upsilon=homogenized_upsilon, upsilon=upsilon, signature=signature,
             rasmussen_s=rasmussen_s, s_provenance=s_provenance, genus3=genus3, genus4=genus4,
             tau=tau, alt=alt, minimal_r=minimal_r, ballinger_t=ballinger_t,
             nonorientable_g4_lower=nonorientable_g4_lower,
         )
+
+    @property
+    def is_knot(self) -> bool:
+        return self.components == 1
 
 
 def build_report(word: BraidWord) -> InvariantReport:
@@ -279,8 +283,8 @@ def build_report(word: BraidWord) -> InvariantReport:
     components = word.closure_components()
     common = dict(
         word=word, garside=gform, murasugi=mform, garside_certificate=gcert,
-        murasugi_certificate=mcert, components=components, is_knot=components == 1,
-        fdtc=fdtc(gform), homogenized_upsilon=homogenized_upsilon(gform),
+        murasugi_certificate=mcert, components=components, fdtc=fdtc(gform),
+        homogenized_upsilon=homogenized_upsilon(gform),
     )
     if components != 1:
         return InvariantReport(**common)

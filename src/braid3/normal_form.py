@@ -163,10 +163,6 @@ class MurasugiGeneric(Value):
             raise ValueError("generic form needs all exponents >= 1")
         self.__dict__.update(ell=ell, pairs=pairs)
 
-    @property
-    def r(self) -> int:
-        return len(self.pairs)
-
 
 MurasugiForm = MurasugiPower | MurasugiHalfTwist | MurasugiTorus | MurasugiGeneric
 

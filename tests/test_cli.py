@@ -51,6 +51,15 @@ class TestNormalize:
         assert code == 0
         assert "verified: yes" in out
 
+    @pytest.mark.parametrize("word, form, conjugator", [
+        ("b a^3 b a^-3", "D^-3 a^3 b^2 a^2 b^2 a^2", "a b a B"),
+        ("", "identity (case A, ℓ=0, p=0)", "<identity>"),
+    ])
+    def test_certificate_text(self, capsys, word, form, conjugator):
+        code, out, _ = run(capsys, "normalize", "--certificate", word)
+        assert code == 0
+        assert out.splitlines() == [form, f"conjugator: {conjugator}", "verified: yes"]
+
     def test_certificate_checked_once(self, capsys, monkeypatch):
         calls = []
         real = ConjugacyCertificate.verify
@@ -152,6 +161,10 @@ class TestInvariants:
             "word: a", "garside: a", "murasugi: a", "components: 2", "is_knot: False",
             *(f"{key}: absent" for key in absent), "fdtc: 0/1", "homogenized_upsilon: -1/2",
         ]
+
+    def test_text_output_of_the_identity(self, capsys):
+        code, out, _ = run(capsys, "invariants", "")
+        assert code == 0 and out.splitlines()[0] == "word: <identity>"
 
     def test_text_output_of_an_exact_interval(self, capsys):
         code, out, _ = run(capsys, "invariants", "a^2 b^2 a^3 b^3")
@@ -566,6 +579,18 @@ class TestBatch:
             assert len(err.splitlines()) == 1 and "--csv" in err
             assert src.read_bytes() == before
 
+    def test_output_is_the_input_leaks_no_file(self, tmp_path):
+        # under -X dev an unclosed CSV handle prints a ResourceWarning to stderr
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\nk,ab\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(braid3.__file__).resolve().parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "braid3", "batch", "--csv", str(src),
+             "--out", str(src)], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and "--csv" in done.stderr
+
     def test_non_utf8_file(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_bytes(b"name,word\nk,a\xff b\n")
@@ -766,3 +791,6 @@ class TestPublicNames:
             assert not hasattr(braid3.words, name)
         assert set(braid3.DeltaSplit._fields) == {"k", "positive_part"}
         assert not hasattr(braid3.DeltaSplit, "verify")
+        assert not hasattr(braid3.MurasugiGeneric(0, ((1, 2),)), "r")
+        assert "is_knot" not in braid3.InvariantReport._fields
+        assert braid3.cobordism.VerificationResult._fields == ("reasons",)

@@ -125,6 +125,21 @@ KNOWN_TORUS_SIGNATURES = {
 }
 
 
+class TestTheoremChecks:
+    # on a knot form each check holds; with the knot test passed over, a
+    # link form reaches it and it raises rather than return a wrong value
+    def test_odd_half_sum(self, monkeypatch):
+        monkeypatch.setattr(braid3.invariants, "_require_knot", lambda form: None)
+        odd = re.escape("upsilon has the odd half-sum -1/2")
+        with pytest.raises(InternalInconsistencyError, match=odd):
+            upsilon(MurasugiGeneric(0, ((1, 2),)))
+
+    def test_odd_writhe(self, monkeypatch):
+        monkeypatch.setattr(braid3.invariants, "_require_knot", lambda form: None)
+        with pytest.raises(InternalInconsistencyError, match="odd writhe on a knot closure"):
+            genus_tau(GarsideB(0, 2))
+
+
 class TestSignature:
     def test_torus_family_against_classical_table(self):
         for q, sig in KNOWN_TORUS_SIGNATURES.items():

@@ -159,6 +159,12 @@ class TestParse:
             w = random_word(rng, rng.randrange(0, 15))
             assert parse(w.display()) == w
 
+    def test_str_names_the_empty_word(self):
+        # a D prefix that its tail cancels is the empty word too
+        assert str(BraidWord()) == str(parse("D A B A")) == "<identity>"
+        w = parse("D^-2 a")
+        assert str(w) == w.display() == "A B A^2 B"
+
 
 class TestGroupOperations:
     def test_concat_inverse_pair(self):
