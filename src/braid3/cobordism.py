@@ -26,10 +26,9 @@ class PreconditionError(ValueError):
 
 
 INSERT = "insert_generator"
-DELETE = "delete_generator"
 SPLIT = "split_to_connected_sum"
 
-_KINDS = frozenset((INSERT, DELETE, SPLIT))
+_KINDS = frozenset((INSERT, SPLIT))
 
 
 class SaddleMove(Value):

@@ -61,12 +61,8 @@ class IntInterval(Value):
 def _require_knot(form: GarsideForm | MurasugiForm) -> None:
     # this rejects cases A and power, the half twist and case B with p = 2, so the
     # knot invariants below see only B, C, D, torus and generic forms.  The form's
-    # word decides once per form object; kept on the form, the answer dies with it
-    attrs = vars(form)
-    knot = attrs.get("_knot")
-    if knot is None:
-        knot = attrs["_knot"] = realize(form).is_knot()
-    if not knot:
+    # word caches its permutation, so the test is made once per form
+    if not realize(form).is_knot():
         raise NotAKnotError(f"closure of {form} is not a knot")
 
 

@@ -54,6 +54,17 @@ class InternalInconsistencyError(RuntimeError):
     """A theorem-level sanity check failed; indicates a classifier bug."""
 
 
+def _made(form, delta: int, runs, **fields) -> None:
+    """Store a form's checked fields with the word it displays, D^delta
+    times runs that alternate generators and have nonzero exponents, so
+    they need no merge; nothing is written into the form afterwards."""
+    form.__dict__.update(fields, _word=BraidWord(tuple(runs), delta))
+
+
+def _pair_runs(pairs: tuple[tuple[int, int], ...], sign: int) -> list[tuple[str, int]]:
+    return [run for p, q in pairs for run in ((GEN_A, sign * p), (GEN_B, q))]
+
+
 # ---------------------------------------------------------------------------
 # Garside forms
 
@@ -66,7 +77,7 @@ class GarsideA(Value):
     def __init__(self, ell: int, p: int):
         if p < 0:
             raise ValueError("case A needs p >= 0")
-        self.__dict__.update(ell=ell, p=p)
+        _made(self, 2 * ell, [(GEN_A, p)] if p else [], ell=ell, p=p)
 
 
 class GarsideB(Value):
@@ -77,7 +88,7 @@ class GarsideB(Value):
     def __init__(self, ell: int, p: int):
         if p not in (1, 2, 3):
             raise ValueError("case B needs p in {1,2,3}")
-        self.__dict__.update(ell=ell, p=p)
+        _made(self, 2 * ell, [(GEN_A, p), (GEN_B, 1)], ell=ell, p=p)
 
 
 class GarsideC(Value):
@@ -90,7 +101,7 @@ class GarsideC(Value):
             raise ValueError("case C needs r >= 1")
         if any(p < 2 or q < 2 for p, q in pairs):
             raise ValueError("case C needs all exponents >= 2")
-        self.__dict__.update(ell=ell, pairs=pairs)
+        _made(self, 2 * ell, _pair_runs(pairs, 1), ell=ell, pairs=pairs)
 
     @property
     def r(self) -> int:
@@ -108,7 +119,8 @@ class GarsideD(Value):
     def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...], p_r: int):
         if p_r < 2 or any(p < 2 or q < 2 for p, q in pairs):
             raise ValueError("case D needs all exponents >= 2")
-        self.__dict__.update(ell=ell, pairs=pairs, p_r=p_r)
+        _made(self, 2 * ell + 1, _pair_runs(pairs, 1) + [(GEN_A, p_r)],
+              ell=ell, pairs=pairs, p_r=p_r)
 
     @property
     def r(self) -> int:
@@ -128,7 +140,7 @@ class MurasugiPower(Value):
     case = "power"
 
     def __init__(self, ell: int, p: int):
-        self.__dict__.update(ell=ell, p=p)
+        _made(self, 2 * ell, [(GEN_A, p)] if p else [], ell=ell, p=p)
 
 
 class MurasugiHalfTwist(Value):
@@ -137,7 +149,7 @@ class MurasugiHalfTwist(Value):
     case = "half-twist"
 
     def __init__(self, ell: int):
-        self.__dict__["ell"] = ell
+        _made(self, 2 * ell + 1, [], ell=ell)
 
 
 class MurasugiTorus(Value):
@@ -148,7 +160,8 @@ class MurasugiTorus(Value):
     def __init__(self, ell: int, variant: str):  # variant "ab" | "abab"
         if variant not in ("ab", "abab"):
             raise ValueError("variant must be 'ab' or 'abab'")
-        self.__dict__.update(ell=ell, variant=variant)
+        _made(self, 2 * ell, [(GEN_A, 1), (GEN_B, 1)] * (1 if variant == "ab" else 2),
+              ell=ell, variant=variant)
 
 
 class MurasugiGeneric(Value):
@@ -161,51 +174,22 @@ class MurasugiGeneric(Value):
             raise ValueError("generic form needs r >= 1")
         if any(p < 1 or q < 1 for p, q in pairs):
             raise ValueError("generic form needs all exponents >= 1")
-        self.__dict__.update(ell=ell, pairs=pairs)
+        _made(self, 2 * ell, _pair_runs(pairs, -1), ell=ell, pairs=pairs)
 
 
 MurasugiForm = MurasugiPower | MurasugiHalfTwist | MurasugiTorus | MurasugiGeneric
 
 
-def _pair_runs(pairs: tuple[tuple[int, int], ...], sign: int) -> list[tuple[str, int]]:
-    return [run for p, q in pairs for run in ((GEN_A, sign * p), (GEN_B, q))]
-
-
-#: the runs each normal-form shape displays after its D^k prefix (none for p = 0)
-_TAIL_RUNS = {
-    GarsideA: lambda f: [(GEN_A, f.p)] if f.p else [],
-    GarsideB: lambda f: [(GEN_A, f.p), (GEN_B, 1)],
-    GarsideC: lambda f: _pair_runs(f.pairs, 1),
-    GarsideD: lambda f: _pair_runs(f.pairs, 1) + [(GEN_A, f.p_r)],
-    MurasugiPower: lambda f: [(GEN_A, f.p)] if f.p else [],
-    MurasugiHalfTwist: lambda f: [],
-    MurasugiTorus: lambda f: [(GEN_A, 1), (GEN_B, 1)] * (1 if f.variant == "ab" else 2),
-    MurasugiGeneric: lambda f: _pair_runs(f.pairs, -1),
-}
-
-
 def delta_exponent(form: GarsideForm | MurasugiForm) -> int:
     """The power of the half twist D displayed by the form."""
-    if isinstance(form, (GarsideD, MurasugiHalfTwist)):
-        return 2 * form.ell + 1
-    return 2 * form.ell
-
-
-def tail_runs(form: GarsideForm | MurasugiForm) -> list[tuple[str, int]]:
-    """The runs the form displays after its D^k prefix, k = delta_exponent(form);
-    they alternate generators and have nonzero exponents, so they need no merge."""
-    return _TAIL_RUNS[type(form)](form)
+    return realize(form).delta
 
 
 def realize(form: GarsideForm | MurasugiForm) -> BraidWord:
     """The braid word displayed by a normal form, its D^k kept as the
-    word's delta; its syllables are those of the expanded word.  Built once
-    per form object and kept in the form's own __dict__ (as
-    functools.cached_property would), so it lives exactly as long as the form."""
-    attrs = vars(form)
-    if "_word" not in attrs:
-        attrs["_word"] = BraidWord(tuple(tail_runs(form)), delta_exponent(form))
-    return attrs["_word"]
+    word's delta; its syllables are those of the expanded word.  The form
+    is made with it, so every call returns the same word object."""
+    return form._word
 
 
 def form_display(form: GarsideForm | MurasugiForm) -> str:

@@ -187,14 +187,6 @@ class BraidWord(Value):
             return 3 * abs(h) + len(rest)
         return sum(abs(e) for _, e in self.tail)
 
-    def __bool__(self) -> bool:
-        # a tail can cancel the whole D block; the expanded word is D^h's
-        # block (never empty) followed by rest, less a merged run
-        if not self.delta:
-            return bool(self.tail)
-        h, rest = self._seam
-        return bool(h or rest.tail)
-
     def __mul__(self, other: BraidWord) -> BraidWord:
         # both sides are merged, so only the runs at the seam combine: each
         # pair that cancels exposes the next pair, on the other generator
@@ -232,9 +224,8 @@ class BraidWord(Value):
     def writhe(self) -> int:
         return 3 * self.delta + sum(e for _, e in self.tail)
 
-    def permutation(self) -> tuple[int, int, int]:
-        """Images of strands (1, 2, 3) under the word, read left to right;
-        only the parity of each exponent matters."""
+    @cached_property
+    def _permutation(self) -> tuple[int, int, int]:
         # D^2 is a pure braid and D reverses the strands
         img = (3, 2, 1) if self.delta & 1 else IDENTITY_PERM
         for gen, exp in self.tail:
@@ -243,12 +234,17 @@ class BraidWord(Value):
                 img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
         return img
 
+    def permutation(self) -> tuple[int, int, int]:
+        """Images of strands (1, 2, 3) under the word, read left to right;
+        only the parity of each exponent matters.  Computed on first use."""
+        return self._permutation
+
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
-        return _COMPONENTS[self.permutation()]
+        return _COMPONENTS[self._permutation]
 
     def is_knot(self) -> bool:
-        return _COMPONENTS[self.permutation()] == 1
+        return _COMPONENTS[self._permutation] == 1
 
     def display(self) -> str:
         """Render in the input grammar (A/B for inverse runs), space separated."""
@@ -322,8 +318,11 @@ def parse(text: str) -> BraidWord:
 
     The D terms before the first a/b letter add up into the word's delta
     (exact: D^j and D^k expand and merge to D^(j+k)); a later D^e expands
-    in place.  Raises ParseError with a 1-based position.
+    in place.  Raises ParseError with a 1-based position, and TypeError on
+    anything but a str, such as a JSON array, whose items would read as terms.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a braid word must be a str, not {type(text).__name__}")
     runs: list[tuple[str, int]] = []
     delta = 0
     limit = max_word_len()

@@ -411,6 +411,37 @@ class TestVerify:
             f"bad certificate {path}: ValueError: unknown generator {generator!r}"
         ]
 
+    def test_move_kind_no_construction_builds(self, capsys, tmp_path):
+        # "delete_generator" is an unknown kind like any other
+        _, out, _ = run(capsys, "certify", "a^2 b^2 a^3 b^3", "--kind", "torus-sum")
+        data = json.loads(out)
+        data["moves"][0]["kind"] = "delete_generator"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"bad certificate {path}: ValueError: unknown saddle kind delete_generator"
+        ]
+
+    @pytest.mark.parametrize("argv, owner", [
+        (("a^2 b^2 a^3 b^3", "--kind", "torus-sum"), lambda d: (d, "start")),
+        (("a b", "--kind", "twist", "--n", "1"), lambda d: (d["end_factors"][0], "word")),
+    ], ids=["start", "closure-word"])
+    def test_word_that_is_a_json_array(self, capsys, tmp_path, argv, owner):
+        # the word's own letters, one array item each, are not a word
+        _, out, _ = run(capsys, "certify", *argv)
+        data = json.loads(out)
+        field, key = owner(data)
+        field[key] = [g if e > 0 else g.upper() for g, e in parse(field[key]) for _ in range(abs(e))]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"bad certificate {path}: TypeError: a braid word must be a str, not list"
+        ]
+
     def test_unknown_end_factor_type(self, capsys, tmp_path):
         _, out, _ = run(capsys, "certify", "a^3 b", "--kind", "twist", "--n", "1")
         data = json.loads(out)
@@ -794,3 +825,7 @@ class TestPublicNames:
         assert not hasattr(braid3.MurasugiGeneric(0, ((1, 2),)), "r")
         assert "is_knot" not in braid3.InvariantReport._fields
         assert braid3.cobordism.VerificationResult._fields == ("reasons",)
+        for name in ("tail_runs", "_TAIL_RUNS"):
+            assert not hasattr(braid3.normal_form, name)
+        assert "__bool__" not in braid3.BraidWord.__dict__
+        assert not hasattr(braid3.cobordism, "DELETE")

@@ -1,8 +1,8 @@
 
 import random
 import re
-import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -615,56 +615,71 @@ class TestReport:
         assert r.murasugi_certificate.source is w
 
     def test_one_knot_decision_per_form(self, monkeypatch):
-        # realize builds a form's word from tail_runs; count the builds, with
-        # the function that asked for the word
-        built = []
-        tail_runs = braid3.normal_form.tail_runs
+        # a word computes its permutation, the one knot decision, on first
+        # use and keeps it; count the computations, with the word computed
+        computed = []
+        permutation = BraidWord._permutation.func
 
-        def counted_tail_runs(form):
-            built.append((form, sys._getframe(2).f_code.co_name))
-            return tail_runs(form)
+        def counted_permutation(word):
+            computed.append(word)
+            return permutation(word)
 
-        # BraidWord.is_knot is the one knot decision; count its calls
-        decided = []
-        is_knot = BraidWord.is_knot
-
-        def counted_is_knot(word):
-            decided.append(word)
-            return is_knot(word)
-
-        monkeypatch.setattr(braid3.normal_form, "tail_runs", counted_tail_runs)
-        monkeypatch.setattr(BraidWord, "is_knot", counted_is_knot)
-        r = build_report(parse("a^2 b^2 a^3 b^3"))
+        counting = cached_property(counted_permutation)
+        counting.__set_name__(BraidWord, "_permutation")
+        monkeypatch.setattr(BraidWord, "_permutation", counting)
+        w = parse("a^2 b^2 a^3 b^3")
+        r = build_report(w)
         assert r.is_knot
-        # each form's word is built once, for its certificate, and is that
-        # certificate's target; the knot decision reads that same word once
-        assert built == [(r.garside, "garside_normal_form"),
-                         (r.murasugi, "murasugi_from_garside")]
+        # each form is made with its word, which is its certificate's target;
+        # the report's components and each form's knot test compute once
         words = [r.garside_certificate.target, r.murasugi_certificate.target]
-        assert [realize(r.garside), realize(r.murasugi)] == words
-        assert all(realize(f) is w for f, w in zip((r.garside, r.murasugi), words))
-        assert len(decided) == 2 and all(d is w for d, w in zip(decided, words))
+        assert all(realize(f) is t for f, t in zip((r.garside, r.murasugi), words))
+        assert len(computed) == 3 and all(c is x for c, x in zip(computed, (w, *words)))
         for form in (r.garside, r.murasugi):
             for invariant in KNOT_ONLY_INVARIANTS:
                 invariant(form)
-        assert len(decided) == 2 and len(built) == 2
+        assert len(computed) == 3
         link = GarsideA(0, 2)
         for _ in range(2):
             with pytest.raises(NotAKnotError):
                 upsilon(link)
-        assert len(decided) == 3 and built[2:] == [(link, "_require_knot")]
+        assert len(computed) == 4 and computed[3] is realize(link)
         # the genus of a positive form and the display of either form read the
-        # word already built; neither builds it again
-        del built[:]
+        # word the form was made with
         assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
         assert rasmussen_s(r.garside) == (-8, "positive-braid")
         assert [form_display(f) for f in (r.garside, r.murasugi)] == [
             "a^3 b^2 a^2 b^3", "D^4 A b A^3 b",
         ]
-        assert built == [] and len(decided) == 3
-        # the memos kept on a form leave its equality and hash alone
+        assert len(computed) == 4
+        assert all(realize(f) is t for f, t in zip((r.garside, r.murasugi), words))
+        # the word a form is made with leaves its equality and hash alone
         fresh = garside(parse("a^2 b^2 a^3 b^3"))
         assert r.garside == fresh and hash(r.garside) == hash(fresh)
+
+    def test_a_form_is_not_written_after_construction(self):
+        # every form class, knots and links
+        forms = [
+            GarsideA(0, 2), GarsideB(1, 1), GarsideB(0, 2), GarsideC(0, ((3, 2), (2, 3))),
+            GarsideD(0, ((2, 2),), 2), GarsideD(-1, ((3, 2),), 2), MurasugiPower(1, -3),
+            MurasugiHalfTwist(-1), MurasugiTorus(-2, "abab"), MurasugiTorus(1, "ab"),
+            MurasugiGeneric(1, ((1, 2), (3, 1))), MurasugiGeneric(0, ((1, 1),)),
+        ]
+        garside_only = (fdtc, homogenized_upsilon)
+        for form in forms:
+            made = {*form._fields, "_word"}
+            assert set(vars(form)) == made, form
+            word = realize(form)
+            for invariant in KNOT_ONLY_INVARIANTS:
+                try:
+                    invariant(form)
+                except NotAKnotError:
+                    assert not word.is_knot()
+            if isinstance(form, (GarsideA, GarsideB, GarsideC, GarsideD)):
+                for invariant in garside_only:
+                    invariant(form)
+            form_display(form)
+            assert realize(form) is word and set(vars(form)) == made, form
 
     def test_flags_follow_the_per_field_rule(self):
         seen = set()

@@ -135,6 +135,7 @@ def test_equal_fields_in_other_classes_are_unequal():
     (lambda: IntInterval(1, 0), "empty interval"),
     (lambda: SaddleMove("twist", 0, "a"), "unknown saddle kind twist"),
     (lambda: SaddleMove(["twist"], 0, "a"), "unknown saddle kind ['twist']"),
+    (lambda: SaddleMove("delete_generator", 0, "a"), "unknown saddle kind delete_generator"),
     (lambda: SaddleMove("insert_generator", 0, "c"), "unknown generator 'c'"),
     (lambda: SaddleMove("insert_generator", 0, ["a"]), "unknown generator ['a']"),
     (lambda: TorusFactor(4), "torus factor parameter must be odd and positive"),

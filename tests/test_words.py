@@ -102,6 +102,12 @@ class TestParse:
             parse("ab c")
         assert exc.value.position == 4
 
+    def test_only_text_is_parsed(self):
+        # a list or tuple of letters would otherwise read as the word a b
+        for value, name in ((["a", "b"], "list"), (("a", "b"), "tuple"), (b"ab", "bytes")):
+            with pytest.raises(TypeError, match=f"a braid word must be a str, not {name}$"):
+                parse(value)
+
     def test_zero_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse("a^0")
