@@ -59,10 +59,13 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _form_json(form) -> dict:
+def _fields_json(value) -> dict:
     # the fields its class lists once, in order, read shallowly; pairs dump as arrays
-    shallow = {name: getattr(form, name) for name in form._fields}
-    return {"display": form_display(form), "case": form.case, **shallow}
+    return {name: getattr(value, name) for name in value._fields}
+
+
+def _form_json(form) -> dict:
+    return {"display": form_display(form), "case": form.case, **_fields_json(form)}
 
 
 #: the fields that carry a flag, in the order the flags print
@@ -122,10 +125,7 @@ def cmd_normalize(args) -> int:
     else:
         form, cert = garside_normal_form(word)
     if args.json:
-        payload = {
-            "input": word.display(),
-            "form": _form_json(form),
-        }
+        payload = {"input": word.display(), "form": _form_json(form)}
         if args.certificate:
             # the classifier has checked cert and raises when the check fails
             payload["certificate"] = {
@@ -170,10 +170,6 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _move_json(m: SaddleMove) -> dict:
-    return {"kind": m.kind, "position": m.position, "generator": m.generator}
-
-
 def _factor_json(f) -> dict:
     if isinstance(f, TorusFactor):
         return {"type": "torus", "q": f.q}
@@ -186,7 +182,7 @@ def certificate_json(cert: CobordismCertificate, verified: bool) -> dict:
         "start": cert.start.display(),
         "end": cert.end.display(),
         "end_factors": [_factor_json(f) for f in cert.end.factors],
-        "moves": [_move_json(m) for m in cert.moves],
+        "moves": [_fields_json(m) for m in cert.moves],
         "euler_char": cert.euler_char,
         "genus": _frac(cert.genus),
         "verified": verified,
@@ -269,7 +265,7 @@ def cmd_verify(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
-        fh = open(args.csv, "r", encoding="utf-8", newline="")
+        fh = open(args.csv, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -282,16 +278,21 @@ def cmd_batch(args) -> int:
     try:
         with fh, (open(args.out, "w", encoding="utf-8") if args.out
                   else nullcontext(sys.stdout)) as out:
-            for row in csv.DictReader(fh):
-                name = (row.get("name") or "").strip()
-                text = (row.get("word") or "").strip()
-                record: dict = {"name": name, "word": text}
-                try:
+            rows = csv.DictReader(fh)
+            rows.fieldnames  # read the header here: a header the reader refuses exits 2
+            while True:
+                record: dict = {"name": "", "word": ""}
+                try:  # a row the reader refuses raises csv.Error, and the reader moves on
+                    if (row := next(rows, None)) is None:
+                        break
+                    record.update(name=(row.get("name") or "").strip(),
+                                  word=(row.get("word") or "").strip())
                     if row.get("word") is None:
                         raise ParseError("missing word column", 1)
-                    report = build_report(parse(text))
-                    record.update(report_json(report))
-                except (ValueError, InternalInconsistencyError) as exc:
+                    record.update(report_json(build_report(parse(record["word"]))))
+                except UnicodeDecodeError:
+                    raise
+                except (ValueError, InternalInconsistencyError, csv.Error) as exc:
                     record["error"] = str(exc)
                     errors += 1
                 processed += 1

@@ -276,7 +276,7 @@ def build_report(word: BraidWord) -> InvariantReport:
     """
     gform, gcert = garside_normal_form(word)
     mform, mcert = murasugi_from_garside(gform, gcert)
-    components = word.closure_components()
+    components = realize(gform).closure_components()
     common = dict(
         word=word, garside=gform, murasugi=mform, garside_certificate=gcert,
         murasugi_certificate=mcert, components=components, fdtc=fdtc(gform),

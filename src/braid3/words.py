@@ -164,10 +164,8 @@ class BraidWord(Value):
 
     @cached_property
     def syllables(self) -> tuple[tuple[str, int], ...]:
-        # read only when delta != 0; the product merges D^h's last run
-        # a^(+-1) and rest's first into one a^(+-2)
-        h, rest = self._seam
-        return (BraidWord(delta_runs(h)) * rest).syllables
+        # read only when delta != 0: D's runs times the tail
+        return (BraidWord(delta_runs(self.delta)) * BraidWord(self.tail)).syllables
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
@@ -207,9 +205,7 @@ class BraidWord(Value):
         return _word(self.syllables * k)
 
     def inverse(self) -> BraidWord:
-        # D^k reads the same backwards, so D^k t inverts to t^-1 D^-k
-        tail = tuple((g, -e) for g, e in reversed(self.tail))
-        return BraidWord(tail) * BraidWord(delta_runs(-self.delta))
+        return BraidWord(tuple(reversed(self.mirror().syllables)))  # negated, read backwards
 
     def mirror(self) -> BraidWord:
         """Negate every exponent in place; the closure of the result is the
@@ -250,7 +246,7 @@ class BraidWord(Value):
         """Render in the input grammar (A/B for inverse runs), space separated."""
         if not self.delta:
             return display_runs(self.tail)
-        # the same block as syllables, written as one repeated string
+        # D^h's block written as one repeated string, then the seam
         h, rest = self._seam
         if not h:
             return rest.display()

@@ -7,6 +7,7 @@ soundness and acceptance tests check certificates against as well.
 import itertools
 import time
 
+import braid3.burau
 from braid3.burau import _image, conjugates_to, words_equal
 from braid3.normal_form import GarsideC, garside_normal_form, murasugi_from_garside
 from braid3.words import BraidWord, delta_power, parse
@@ -74,6 +75,13 @@ class TestBurauImages:
         for text in ("a", "b"):
             m = _image(parse(text))
             assert mul(_image(delta_power(2)), m) == mul(m, _image(delta_power(2)))
+
+    def test_every_power_of_the_half_twist(self):
+        # D^k's image is one of four matrices with writhe 3k; each residue
+        # mod 4, of both signs, against the fold of its letters
+        for k in range(-9, 10):
+            letters = ("a b a " if k > 0 else "A B A ") * abs(k)
+            assert _image(delta_power(k)) == _image(parse(letters))
 
     def test_determinant_is_signed_t_power(self, rng):
         # det = (-t)^writhe in the reference, which is 1 at t = -1
@@ -144,6 +152,23 @@ class TestWordsEqual:
             w = random_word(rng, rng.randrange(0, 10))
             c = random_word(rng, rng.randrange(0, 6))
             assert conjugates_to(c, w, c * w * c.inverse())
+
+    def test_conjugates_to_maps_each_word_once(self, monkeypatch):
+        # the conjugator's image multiplies on both sides, so a check maps
+        # each of its three words once
+        image = braid3.burau._image
+        calls = []
+
+        def recording(word):
+            calls.append(word)
+            return image(word)
+
+        monkeypatch.setattr(braid3.burau, "_image", recording)
+        for c, s in ((parse("a^2 B"), parse("a b^3 A")), (parse("D^3 b"), parse("D^-2 a^5 B"))):
+            calls.clear()
+            t = c * s * c.inverse()
+            assert conjugates_to(c, s, t)
+            assert len(calls) == 3 and [sum(x is w for x in calls) for w in (c, s, t)] == [1] * 3
 
     def test_conjugates_to_agrees_with_reference(self, rng):
         # the oracle folds conjugator, source and target without building

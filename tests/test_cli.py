@@ -622,6 +622,50 @@ class TestBatch:
         assert done.returncode == 2 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and "--csv" in done.stderr
 
+    @pytest.mark.parametrize("refused_at", [1, 2])
+    def test_a_row_the_reader_refuses_is_an_error_record(self, capsys, tmp_path, refused_at):
+        # 80 000 letters, within BRAID3_MAX_WORD_LEN, in a field past the csv
+        # module's 131 072-character limit; in the middle and as the last row
+        rows = ["one,a b a", "three,a^3 b^3"]
+        rows.insert(refused_at, "two," + "a " * 80000)
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 0 and err == "3 processed, 1 errors\n"
+        records = [json.loads(line) for line in out.splitlines()]
+        refused = {"name": "", "word": "", "error": "field larger than field limit (131072)"}
+        assert records.pop(refused_at) == refused
+        assert [(r["name"], r["upsilon"]) for r in records] == [("one", None), ("three", -2)]
+
+    def test_a_nul_byte_does_not_stop_the_batch(self, capsys, tmp_path):
+        # the csv reader refuses the row on Python 3.10 and passes it on later
+        # versions, where it is a parse error; either way the batch goes on
+        src = tmp_path / "in.csv"
+        src.write_text("name,word\none,a b a\ntwo,a\0b\nthree,a^3 b^3\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 0 and err == "3 processed, 1 errors\n"
+        records = [json.loads(line) for line in out.splitlines()]
+        assert "error" in records[1]
+        assert records[2]["name"] == "three" and records[2]["upsilon"] == -2
+
+    def test_a_header_the_reader_refuses_is_an_unreadable_file(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("name," + "w" * 140000 + "\nk,a b\n")
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("header", ["name,word", "word,name"])
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, capsys, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with one
+        row = "k,a^3 b^3" if header == "name,word" else "a^3 b^3,k"
+        src = tmp_path / "in.csv"
+        src.write_bytes(f"\ufeff{header}\n{row}\n".encode())
+        code, out, err = run(capsys, "batch", "--csv", str(src))
+        assert code == 0 and err == "1 processed, 0 errors\n"
+        record = json.loads(out)
+        assert (record["name"], record["word"], record["upsilon"]) == ("k", "a^3 b^3", -2)
+
     def test_non_utf8_file(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_bytes(b"name,word\nk,a\xff b\n")

@@ -631,19 +631,21 @@ class TestReport:
         r = build_report(w)
         assert r.is_knot
         # each form is made with its word, which is its certificate's target;
-        # the report's components and each form's knot test compute once
+        # the report reads its components off the Garside word, and each form's
+        # knot test computes once; the input word's permutation is never computed
         words = [r.garside_certificate.target, r.murasugi_certificate.target]
         assert all(realize(f) is t for f, t in zip((r.garside, r.murasugi), words))
-        assert len(computed) == 3 and all(c is x for c, x in zip(computed, (w, *words)))
+        assert len(computed) == 2 and all(c is x for c, x in zip(computed, words))
+        assert not any(c is w for c in computed)
         for form in (r.garside, r.murasugi):
             for invariant in KNOT_ONLY_INVARIANTS:
                 invariant(form)
-        assert len(computed) == 3
+        assert len(computed) == 2
         link = GarsideA(0, 2)
         for _ in range(2):
             with pytest.raises(NotAKnotError):
                 upsilon(link)
-        assert len(computed) == 4 and computed[3] is realize(link)
+        assert len(computed) == 3 and computed[2] is realize(link)
         # the genus of a positive form and the display of either form read the
         # word the form was made with
         assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
@@ -651,11 +653,17 @@ class TestReport:
         assert [form_display(f) for f in (r.garside, r.murasugi)] == [
             "a^3 b^2 a^2 b^3", "D^4 A b A^3 b",
         ]
-        assert len(computed) == 4
+        assert len(computed) == 3
         assert all(realize(f) is t for f, t in zip((r.garside, r.murasugi), words))
         # the word a form is made with leaves its equality and hash alone
         fresh = garside(parse("a^2 b^2 a^3 b^3"))
         assert r.garside == fresh and hash(r.garside) == hash(fresh)
+
+    def test_components_are_read_on_the_garside_word(self):
+        # conjugate braids have conjugate permutations, so the Garside word's
+        # count is the input word's
+        for w in [*reduced_words(6), parse("D"), parse("D^-3")]:
+            assert build_report(w).components == w.closure_components(), w
 
     def test_a_form_is_not_written_after_construction(self):
         # every form class, knots and links

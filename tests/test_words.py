@@ -415,6 +415,17 @@ class TestDeltaPrefix:
                 cancelled += len(ref) < 3 * abs(k) + len(tail)
         assert {0, 1} <= hs and cancelled
 
+    def test_inverse_matches_the_letter_expansion(self):
+        # D^k w inverts letter by letter: the letters of D^k's block and of w,
+        # reversed and negated, then merged
+        for k in range(-4, 5):
+            s = 1 if k > 0 else -1
+            block = [("a", s), ("b", s), ("a", s)] * abs(k)
+            for tail in reduced_words(4):
+                letters = block + [(g, 1 if e > 0 else -1) for g, e in tail for _ in range(abs(e))]
+                ref = BraidWord.from_runs([(g, -e) for g, e in reversed(letters)])
+                assert _delta_prefixed(k, tail).inverse().syllables == ref.syllables
+
     def test_inequality_across_deltas(self):
         assert parse("D^2 a") != parse("D^2 b") and parse("D^2 a") != parse("D^-2 a")
         assert parse("D^2 a") != parse("a b a^2 b a^2 b")
