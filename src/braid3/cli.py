@@ -65,7 +65,10 @@ def _fields_json(value) -> dict:
 
 
 def _form_json(form) -> dict:
-    return {"display": form_display(form), "case": form.case, **_fields_json(form)}
+    data = {"display": form_display(form), "case": form.case}
+    for name in form._fields:
+        data[name] = getattr(form, name)
+    return data
 
 
 #: the fields that carry a flag, in the order the flags print

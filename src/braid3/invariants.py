@@ -79,13 +79,16 @@ def _twice_garside_upsilon(form: GarsideC | GarsideD) -> int:
     return twice - form.p_r - 3 if isinstance(form, GarsideD) else twice
 
 
-def _torus(form: GarsideB | MurasugiTorus) -> tuple[int, int, int]:
-    """(m, j, sign) with the closure sign * T(3, 3m + j); m >= 0, j in {1, 2}."""
-    # callers run _require_knot first, which rejects the half-twist class p = 2
+def _torus(form: GarsideForm | MurasugiForm) -> tuple[int, int, int] | None:
+    """(m, j, sign) with the closure sign * T(3, 3m + j), m >= 0 and j in
+    {1, 2}, on a case B or torus knot form; None on every other form."""
+    # knot forms only: case B with p = 2 is the half-twist class, a link
     if isinstance(form, GarsideB):
         k = 1 if form.p == 1 else 2
-    else:
+    elif isinstance(form, MurasugiTorus):
         k = 1 if form.variant == "ab" else 2
+    else:
+        return None
     if form.ell >= 0:
         return form.ell, k, 1
     # for ell < 0 the closure is the mirror of the complementary family
@@ -97,11 +100,43 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
     _require_knot(form)
     if isinstance(form, MurasugiGeneric):
         return _halved(sum(p - q for p, q in form.pairs)) - 2 * form.ell
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        # upsilon(T(3, 3m + 1)) = -2m, upsilon(T(3, 3m + 2)) = -2m - 1
-        m, j, sign = _torus(form)
-        return -sign * (2 * m + j - 1)
-    return _halved(_twice_garside_upsilon(form))
+    if isinstance(form, (GarsideC, GarsideD)):
+        return _halved(_twice_garside_upsilon(form))
+    # upsilon(T(3, 3m + 1)) = -2m, upsilon(T(3, 3m + 2)) = -2m - 1
+    m, j, sign = _torus(form)
+    return -sign * (2 * m + j - 1)
+
+
+def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
+    return (
+        isinstance(form, (GarsideA, GarsideB, GarsideC, GarsideD, MurasugiTorus))
+        and form.ell >= 0
+    )
+
+
+def _positive_genus(form: GarsideForm | MurasugiForm) -> int | None:
+    """g = (writhe - 2)/2 on a positive braid knot form, by slice-Bennequin;
+    None on every other form."""
+    if not _is_positive_form(form):
+        return None
+    wr = realize(form).writhe()
+    if wr % 2:
+        raise InternalInconsistencyError("odd writhe on a knot closure")
+    return (wr - 2) // 2
+
+
+# The invariants below are read off three facts of a knot form: upsilon,
+# the positive genus g and the torus parameters, each None where it does
+# not apply.  Each public function computes the facts of its own form; a
+# report computes them once, on its Garside form, and hands the same facts
+# to the expressions on the Murasugi form (see build_report).
+
+
+def _signature(ups: int, torus: tuple[int, int, int] | None) -> int:
+    if torus is None:
+        return 2 * ups
+    m, _, sign = torus
+    return 2 * ups - 2 * sign * (m % 2)
 
 
 def signature(form: GarsideForm | MurasugiForm) -> int:
@@ -113,26 +148,20 @@ def signature(form: GarsideForm | MurasugiForm) -> int:
     independent Seifert-matrix signature.  On the torus knots T(3, 3m + j)
     with m odd, sigma is 2 further from 0.
     """
-    sig = 2 * upsilon(form)
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        m, _, sign = _torus(form)
-        sig -= 2 * sign * (m % 2)
-    return sig
+    return _signature(upsilon(form), _torus(form))
 
 
-def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
-    return (
-        isinstance(form, (GarsideA, GarsideB, GarsideC, GarsideD, MurasugiTorus))
-        and form.ell >= 0
-    )
-
-
-def _positive_genus(form) -> int:
-    # slice-Bennequin for positive 3-braid knot closures: g = (writhe - 2)/2
-    wr = realize(form).writhe()
-    if wr % 2:
-        raise InternalInconsistencyError("odd writhe on a knot closure")
-    return (wr - 2) // 2
+def _rasmussen(form, ups: int, genus: int | None) -> tuple[int, str] | None:
+    if isinstance(form, MurasugiGeneric):
+        s = 2 * ups - 2 * form.ell
+        if form.ell > 0:
+            return s + 2, "quasipositive-twist"
+        if form.ell < 0:
+            return s - 2, "quasinegative-twist"
+        return s, "alternating"
+    if genus is not None:
+        return -2 * genus, "positive-braid"
+    return None
 
 
 def rasmussen_s(form: GarsideForm | MurasugiForm) -> tuple[int, str] | None:
@@ -141,16 +170,14 @@ def rasmussen_s(form: GarsideForm | MurasugiForm) -> tuple[int, str] | None:
     Returns (value, provenance); provenance 'positive-braid' marks the
     extension s = -2g beyond the Murasugi-generic and alternating cases.
     """
-    _require_knot(form)
-    if isinstance(form, MurasugiGeneric):
-        s = 2 * upsilon(form) - 2 * form.ell
-        if form.ell > 0:
-            return s + 2, "quasipositive-twist"
-        if form.ell < 0:
-            return s - 2, "quasinegative-twist"
-        return s, "alternating"
-    if _is_positive_form(form):
-        return -2 * _positive_genus(form), "positive-braid"
+    return _rasmussen(form, upsilon(form), _positive_genus(form))
+
+
+def _genus_tau(form, ups: int, genus: int | None) -> tuple[int | None, int | None, int] | None:
+    if genus is not None:
+        return genus, genus, genus
+    if isinstance(form, MurasugiGeneric) and form.ell == 0:
+        return None, None, -ups
     return None
 
 
@@ -161,13 +188,16 @@ def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None,
     alternating closure (generic form with no twisting) determines tau
     alone.  None otherwise.
     """
-    _require_knot(form)
-    if _is_positive_form(form):
-        g = _positive_genus(form)
-        return g, g, g
-    if isinstance(form, MurasugiGeneric) and form.ell == 0:
-        return None, None, -upsilon(form)
-    return None
+    return _genus_tau(form, upsilon(form), _positive_genus(form))
+
+
+def _alternating(form, ups: int, genus: int | None, torus) -> IntInterval:
+    if genus is not None:
+        return IntInterval.point(genus + ups)
+    if torus is not None:
+        return IntInterval.point(torus[0])
+    twist = abs(form.ell + form.r if isinstance(form, (GarsideC, GarsideD)) else form.ell)
+    return IntInterval(max(twist - 1, 0), twist)
 
 
 def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
@@ -177,21 +207,20 @@ def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
     braid closures, m on a mirrored torus closure -T(3, 3m + j), and
     otherwise the two-point interval of the twisting degree.
     """
-    _require_knot(form)
-    if _is_positive_form(form):
-        return IntInterval.point(_positive_genus(form) + upsilon(form))
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        return IntInterval.point(_torus(form)[0])
-    twist = abs(form.ell + form.r if isinstance(form, (GarsideC, GarsideD)) else form.ell)
-    return IntInterval(max(twist - 1, 0), twist)
+    return _alternating(form, upsilon(form), _positive_genus(form), _torus(form))
+
+
+def _switches(alt: IntInterval, genus: int | None) -> int | None:
+    # one more than the alternation number, read off a positive closure
+    return None if genus is None else alt.lo + 1
 
 
 def minimal_positive_switches(form: GarsideForm | MurasugiForm) -> int | None:
     """Minimal r so the closure is that of a^p1 b^q1 ... a^pr b^qr, all
     exponents positive: g + upsilon + 1 on positive braid closures, None
     on every other closure."""
-    _require_knot(form)
-    return _positive_genus(form) + upsilon(form) + 1 if _is_positive_form(form) else None
+    ups, genus = upsilon(form), _positive_genus(form)
+    return _switches(_alternating(form, ups, genus, _torus(form)), genus)
 
 
 def fdtc(form: GarsideForm) -> Fraction:
@@ -272,34 +301,35 @@ def build_report(word: BraidWord) -> InvariantReport:
     Classifies into both normal forms, each certificate checked once by
     the exact oracle, evaluates every applicable invariant, and
     cross-checks the Garside-side and Murasugi-side upsilon formulas
-    against each other.
+    against each other.  Upsilon is evaluated once per form, the positive
+    genus and the torus parameters once, and every other invariant is
+    read off them by the expression its public function uses.
     """
     gform, gcert = garside_normal_form(word)
     mform, mcert = murasugi_from_garside(gform, gcert)
     components = realize(gform).closure_components()
-    common = dict(
-        word=word, garside=gform, murasugi=mform, garside_certificate=gcert,
-        murasugi_certificate=mcert, components=components, fdtc=fdtc(gform),
-        homogenized_upsilon=homogenized_upsilon(gform),
-    )
+    fdtc_value, h_upsilon = fdtc(gform), homogenized_upsilon(gform)
     if components != 1:
-        return InvariantReport(**common)
+        return InvariantReport(word, gform, mform, gcert, mcert, components, fdtc_value, h_upsilon)
     ups = upsilon(gform)
     ups_m = upsilon(mform)
     if ups != ups_m:
         raise InternalInconsistencyError(
             f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
         )
-    sig = signature(mform)
-    # a Murasugi torus form comes only from a Garside B form with the same
-    # ell, so the Garside side has no s value when the Murasugi side has none
-    s_val, provenance = rasmussen_s(mform) or (None, None)
-    g3, g4, tau = genus_tau(gform) or genus_tau(mform) or (None, None, None)
-    alt = alternating_distances(gform)
-    min_r = minimal_positive_switches(gform)
+    # the Murasugi form is a torus form exactly when the Garside form is case
+    # B, with the same ell, torus parameters and writhe, so one is positive
+    # exactly when the other is; a positive Garside form C or D gives a
+    # generic Murasugi form, whose s does not read the genus.  So the Garside
+    # facts stand for the Murasugi form's, and genus_tau(gform) or
+    # genus_tau(mform) is the triple below
+    genus, torus = _positive_genus(gform), _torus(gform)
+    sig = _signature(ups, torus)
+    s_val, provenance = _rasmussen(mform, ups, genus) or (None, None)
+    g3, g4, tau = _genus_tau(mform, ups, genus) or (None, None, None)
+    alt = _alternating(gform, ups, genus, torus)
     t_val, gamma4 = derived_concordance(ups, sig)
     return InvariantReport(
-        **common, upsilon=ups, signature=sig, rasmussen_s=s_val, s_provenance=provenance,
-        genus3=g3, genus4=g4, tau=tau, alt=alt, minimal_r=min_r, ballinger_t=t_val,
-        nonorientable_g4_lower=gamma4,
+        word, gform, mform, gcert, mcert, components, fdtc_value, h_upsilon, ups, sig,
+        s_val, provenance, g3, g4, tau, alt, _switches(alt, genus), t_val, gamma4,
     )

@@ -99,7 +99,7 @@ class GarsideC(Value):
     def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...]):
         if not pairs:
             raise ValueError("case C needs r >= 1")
-        if any(p < 2 or q < 2 for p, q in pairs):
+        if min(chain(*pairs)) < 2:
             raise ValueError("case C needs all exponents >= 2")
         _made(self, 2 * ell, _pair_runs(pairs, 1), ell=ell, pairs=pairs)
 
@@ -117,7 +117,7 @@ class GarsideD(Value):
     case = "D"
 
     def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...], p_r: int):
-        if p_r < 2 or any(p < 2 or q < 2 for p, q in pairs):
+        if min(chain((p_r,), *pairs)) < 2:
             raise ValueError("case D needs all exponents >= 2")
         _made(self, 2 * ell + 1, _pair_runs(pairs, 1) + [(GEN_A, p_r)],
               ell=ell, pairs=pairs, p_r=p_r)
@@ -172,7 +172,7 @@ class MurasugiGeneric(Value):
     def __init__(self, ell: int, pairs: tuple[tuple[int, int], ...]):
         if not pairs:
             raise ValueError("generic form needs r >= 1")
-        if any(p < 1 or q < 1 for p, q in pairs):
+        if min(chain(*pairs)) < 1:
             raise ValueError("generic form needs all exponents >= 1")
         _made(self, 2 * ell, _pair_runs(pairs, -1), ell=ell, pairs=pairs)
 
@@ -487,17 +487,21 @@ def _generic_from_slots(ell: int, slots: list[int], pieces: list) -> MurasugiFor
     """Cyclic merge of the slot word a^-1 b^e1 a^-1 b^e2 ... into generic
     pairs, then the canonical pair rotation (lexicographically smallest
     flattening).  Both rotations append their conjugator to pieces."""
-    m = len(slots)
-    nonzero = [j for j, e in enumerate(slots) if e > 0]
-    if not nonzero:
-        return MurasugiPower(ell, -m)
-    # start the slot word just after its last nonzero b-run
-    pieces.append(_unrotate([(1, e) for e in slots[:(nonzero[-1] + 1) % m]]))
+    # one walk merges the slot word up to its last nonzero b-run into pairs
     pairs = []
-    prev = nonzero[-1] - m
-    for j in nonzero:
-        pairs.append((j - prev, slots[j]))
-        prev = j
+    last = -1
+    for j, e in enumerate(slots):
+        if e:
+            pairs.append((j - last, e))
+            last = j
+    if not pairs:
+        return MurasugiPower(ell, -len(slots))
+    # start the slot word just after its last nonzero b-run: the a^-1 after
+    # it merge into the first pair
+    trailing = len(slots) - 1 - last
+    if trailing:
+        pieces.append(_unrotate(pairs))
+        pairs[0] = (pairs[0][0] + trailing, pairs[0][1])
     # the flattenings compare like the pair sequences, pairs as tuples
     best = _least_rotation(pairs)
     pieces.append(_unrotate(pairs[:best]))

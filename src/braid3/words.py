@@ -28,7 +28,6 @@ signed-int is a nonzero decimal integer.
 from __future__ import annotations
 
 import os
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -38,15 +37,19 @@ GEN_B = "b"
 #: swap of the two generators (conjugation by the half twist)
 _OTHER = {GEN_A: GEN_B, GEN_B: GEN_A}
 
-#: strand permutations, as images of (1, 2, 3); exponent parity is all that matters
-_PERM = {GEN_A: (2, 1, 3), GEN_B: (1, 3, 2)}
+#: the six strand permutations, as images of (1, 2, 3), by index: the
+#: identity, the transpositions of a, b and D, then the two 3-cycles
+_PERMS = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1), (3, 1, 2))
 
-IDENTITY_PERM = (1, 2, 3)
+#: permutation index -> number of closure components, its number of cycles:
+#: the identity 3, the three transpositions 2, the two 3-cycles (knots) 1
+_COMPONENTS = (3, 2, 2, 2, 1, 1)
 
-#: permutation -> number of closure components, its number of cycles: the
-#: identity 3, the three transpositions 2, the two 3-cycles (knots) 1
-_COMPONENTS = {
-    IDENTITY_PERM: 3, (2, 1, 3): 2, (1, 3, 2): 2, (3, 2, 1): 2, (2, 3, 1): 1, (3, 1, 2): 1,
+#: generator -> permutation index -> the index of that permutation followed
+#: by the generator's transposition; exponent parity is all that matters
+_STEP = {
+    gen: tuple(_PERMS.index(tuple(t[i - 1] for i in img)) for img in _PERMS)
+    for gen, t in ((GEN_A, _PERMS[1]), (GEN_B, _PERMS[2]))
 }
 
 DEFAULT_MAX_WORD_LEN = 10**6
@@ -98,6 +101,25 @@ class Value:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+
+class _memo:
+    """functools.cached_property without a lock: the first read stores the
+    value in the instance's __dict__, where later reads find it before the
+    descriptor.  On Python 3.11 cached_property takes an RLock on every
+    first read; 3.12 removed it.  Two threads that race on a first read
+    both compute the same value, which the values' immutability makes safe."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _word(runs: Iterable[tuple[str, int]], delta: int = 0) -> BraidWord:
@@ -152,7 +174,7 @@ class BraidWord(Value):
                 raise ValueError(f"exponent must be an integer, got {exp!r}")
         return _word(runs)
 
-    @cached_property
+    @_memo
     def _seam(self) -> tuple[int, BraidWord]:
         """(h, rest) with D^delta = D^h D^c and rest = D^c * tail multiplied
         out, for delta != 0.  A tail of r runs cancels at most r runs of
@@ -162,7 +184,7 @@ class BraidWord(Value):
         c = min(abs(k), len(self.tail) // 2 + 1) * (1 if k > 0 else -1)
         return k - c, BraidWord(delta_runs(c)) * BraidWord(self.tail)
 
-    @cached_property
+    @_memo
     def syllables(self) -> tuple[tuple[str, int], ...]:
         # read only when delta != 0: D's runs times the tail
         return (BraidWord(delta_runs(self.delta)) * BraidWord(self.tail)).syllables
@@ -220,20 +242,19 @@ class BraidWord(Value):
     def writhe(self) -> int:
         return 3 * self.delta + sum(e for _, e in self.tail)
 
-    @cached_property
-    def _permutation(self) -> tuple[int, int, int]:
-        # D^2 is a pure braid and D reverses the strands
-        img = (3, 2, 1) if self.delta & 1 else IDENTITY_PERM
+    @_memo
+    def _permutation(self) -> int:
+        # the index in _PERMS; D^2 is a pure braid and D reverses the strands
+        state = 3 if self.delta & 1 else 0
         for gen, exp in self.tail:
-            if exp % 2:
-                t = _PERM[gen]
-                img = (t[img[0] - 1], t[img[1] - 1], t[img[2] - 1])
-        return img
+            if exp & 1:
+                state = _STEP[gen][state]
+        return state
 
     def permutation(self) -> tuple[int, int, int]:
         """Images of strands (1, 2, 3) under the word, read left to right;
         only the parity of each exponent matters.  Computed on first use."""
-        return self._permutation
+        return _PERMS[self._permutation]
 
     def closure_components(self) -> int:
         """Number of components of the closed-up link (cycles of the permutation)."""
@@ -276,10 +297,14 @@ def display_runs(runs: Iterable[tuple[str, int]]) -> str:
     """Runs in the input grammar (A/B for inverse runs), space separated."""
     parts = []
     for gen, exp in runs:
-        letter = gen if exp > 0 else gen.upper()
-        e = abs(exp)
-        parts.append(letter if e == 1 else f"{letter}^{e}")
+        if exp < 0:
+            gen, exp = _INVERSE_LETTERS[gen], -exp
+        parts.append(gen if exp == 1 else f"{gen}^{exp}")
     return " ".join(parts)
+
+
+#: generator -> the letter of its inverse
+_INVERSE_LETTERS = {GEN_A: "A", GEN_B: "B"}
 
 
 def delta_power(k: int) -> BraidWord:

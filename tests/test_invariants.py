@@ -659,6 +659,45 @@ class TestReport:
         fresh = garside(parse("a^2 b^2 a^3 b^3"))
         assert r.garside == fresh and hash(r.garside) == hash(fresh)
 
+    def test_upsilon_is_evaluated_once_per_form(self, monkeypatch):
+        # the cross-check's two calls, Garside form first; every other field
+        # is read off their value, so no public invariant runs upsilon again
+        calls = []
+        real = braid3.invariants.upsilon
+
+        def recorded(form):
+            calls.append(form)
+            return real(form)
+
+        monkeypatch.setattr(braid3.invariants, "upsilon", recorded)
+        knots = 0
+        for w in reduced_words(8):
+            if not w.is_knot():
+                continue
+            knots += 1
+            del calls[:]
+            r = build_report(w)
+            assert len(calls) == 2 and calls[0] is r.garside and calls[1] is r.murasugi, w
+        assert knots == 6512
+
+    def test_report_fields_are_the_public_functions(self):
+        # the report reads each field off one upsilon, genus and torus
+        # evaluation; the public functions evaluate their own, and agree
+        for w in reduced_words(8):
+            if not w.is_knot():
+                continue
+            r = build_report(w)
+            g, m = r.garside, r.murasugi
+            sig = signature(m)
+            assert r.signature == sig, w
+            assert (r.rasmussen_s, r.s_provenance) == (rasmussen_s(m) or (None, None)), w
+            assert (r.genus3, r.genus4, r.tau) == (
+                genus_tau(g) or genus_tau(m) or (None, None, None)), w
+            assert r.alt == alternating_distances(g), w
+            assert r.minimal_r == minimal_positive_switches(g), w
+            assert (r.ballinger_t, r.nonorientable_g4_lower) == derived_concordance(
+                upsilon(g), sig), w
+
     def test_components_are_read_on_the_garside_word(self):
         # conjugate braids have conjugate permutations, so the Garside word's
         # count is the input word's

@@ -147,6 +147,23 @@ def test_constructor_checks(make, message):
     assert str(caught.value) == message
 
 
+def test_exponent_checks_read_every_exponent():
+    # one exponent too small, in either place of any pair or in case D's last run
+    for place in range(6):
+        for small, make, message in (
+            (1, lambda pairs: GarsideC(0, pairs), "case C needs all exponents >= 2"),
+            (1, lambda pairs: GarsideD(0, pairs, 2), "case D needs all exponents >= 2"),
+            (0, lambda pairs: MurasugiGeneric(0, pairs), "generic form needs all exponents >= 1"),
+        ):
+            exps = [small + 1] * 6
+            exps[place] = small
+            with pytest.raises(ValueError, match=message):
+                make(tuple(zip(exps[::2], exps[1::2])))
+    with pytest.raises(ValueError, match="case D needs all exponents >= 2"):
+        GarsideD(0, (), 1)
+    assert GarsideD(0, (), 2).r == 1
+
+
 def test_knot_memo_leaves_the_value_alone():
     form = GarsideC(0, ((3, 2), (2, 3)))
     before = (repr(form), hash(form))
