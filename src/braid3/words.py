@@ -123,14 +123,12 @@ class _memo:
 
 
 def _word(runs: Iterable[tuple[str, int]], delta: int = 0) -> BraidWord:
-    """BraidWord.from_runs for runs on valid generators, built inside the
-    package: a run-length merge in which runs that cancel to zero drop out,
-    which lets the runs on either side combine in turn, into the tail of D^delta."""
+    """BraidWord.from_runs for runs built inside the package, trusted to be
+    nonzero and on valid generators: a run-length merge in which runs that
+    cancel to zero drop out, so the runs on either side combine in turn."""
     out: list[tuple[str, int]] = []
     for run in runs:
         gen, exp = run
-        if not exp:
-            continue
         if out and out[-1][0] == gen:
             exp += out.pop()[1]
             if not exp:
@@ -172,7 +170,7 @@ class BraidWord(Value):
             # bool is a subclass of int, and a float such as 2.0 compares equal to one
             if type(exp) is not int:
                 raise ValueError(f"exponent must be an integer, got {exp!r}")
-        return _word(runs)
+        return _word(run for run in runs if run[1])
 
     @_memo
     def _seam(self) -> tuple[int, BraidWord]:
@@ -330,7 +328,7 @@ def max_word_len() -> int:
 #: ASCII digits only; str.isdigit also accepts superscripts and non-Latin digits
 _DIGITS = frozenset("0123456789")
 
-#: letter -> (generator, sign); parse handles "D" itself
+#: letter -> its exponent-1 run, shared by every plain letter; parse reads D on a miss
 _LETTERS = {"a": (GEN_A, 1), "b": (GEN_B, 1), "A": (GEN_A, -1), "B": (GEN_B, -1)}
 
 
@@ -352,12 +350,13 @@ def parse(text: str) -> BraidWord:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch not in _LETTERS and ch != "D":
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
         i += 1
+        run = _LETTERS.get(ch)
+        if run is None:
+            if ch.isspace():
+                continue
+            if ch != "D":
+                raise ParseError(f"unexpected character {ch!r}", i)
         exp = 1
         if i < n and text[i] == "^":
             i += 1
@@ -376,12 +375,11 @@ def parse(text: str) -> BraidWord:
             if not digits:
                 raise ParseError("zero exponent not allowed", start + 1)
             exp = -int(digits) if text[start] == "-" else int(digits)
-        total += (3 if ch == "D" else 1) * abs(exp)
+        total += abs(exp) if run else 3 * abs(exp)
         if total > limit:
             raise ParseError(f"word longer than BRAID3_MAX_WORD_LEN={limit}", i)
-        if ch != "D":
-            gen, sign = _LETTERS[ch]
-            runs.append((gen, sign * exp))
+        if run:
+            runs.append(run if exp == 1 else (run[0], run[1] * exp))
         elif runs:
             runs.extend(delta_runs(exp))
         else:

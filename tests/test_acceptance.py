@@ -14,13 +14,17 @@ the classifier runs on every certificate it returns, and the generic-t
 Burau reference in burau_reference.py.  Its results feed criteria 4, 5
 and 8.  The words are split between at most two worker processes, which
 regenerate their share from indices; the mirror check over the exhaustive
-set runs on the merged results.
+set runs on the merged results.  The exhaustive set's knots also make a
+census: one report per conjugacy class, whose per-field and per-shape
+counts are pinned, and whose reported genera are checked against the
+Alexander polynomial of alexander_reference.py.
 """
 
 import itertools
 import multiprocessing
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -43,6 +47,7 @@ from braid3.normal_form import (
     GarsideD,
     InternalInconsistencyError,
     MurasugiGeneric,
+    MurasugiTorus,
     form_display,
     garside_normal_form,
     murasugi_from_garside,
@@ -50,6 +55,7 @@ from braid3.normal_form import (
 )
 from braid3.words import BraidWord, delta_power, parse
 
+import alexander_reference
 import burau_reference
 from conftest import random_word, reduced_words
 
@@ -78,6 +84,8 @@ class SweepStats:
     mirror_failures: list = field(default_factory=list)
     # word-key -> (upsilon | None, signature | None, fdtc)
     values: dict = field(default_factory=dict)
+    # the Garside forms of the exhaustive set's knots, one per conjugacy class
+    knot_forms: set = field(default_factory=set)
 
 
 def _key(word: BraidWord):
@@ -121,6 +129,8 @@ def _examine(word: BraidWord, stats: SweepStats, record: bool):
             stats.genus_bound_failures.append(word.display())
     if record:
         stats.values[_key(word)] = (ups, sig, omega)
+        if ups is not None:
+            stats.knot_forms.add(gform)
     return gform
 
 
@@ -159,7 +169,8 @@ def sweep() -> SweepStats:
             part = future.result()
             for f in fields(SweepStats):
                 total, more = getattr(stats, f.name), getattr(part, f.name)
-                setattr(stats, f.name, total | more if isinstance(total, dict) else total + more)
+                merged = total | more if isinstance(total, (dict, set)) else total + more
+                setattr(stats, f.name, merged)
     # mirror antisymmetry across the (mirror-closed) exhaustive set
     for key, (ups, sig, omega) in stats.values.items():
         mkey = tuple((g, -e) for g, e in key)
@@ -341,3 +352,68 @@ def test_criterion_8_structural_properties(sweep):
         "[criterion 8] PASS: mirror antisymmetry, sigma = 2*upsilon on generic "
         "knots, |upsilon - sigma/2| <= 1 and |upsilon| <= g4 across the sweep"
     )
+
+
+# ---------------------------------------------------------------------------
+# Census: one report per knot class of the exhaustive set.  A count here
+# moves only with a reason: it falls when a wrong claim is removed, and it
+# rises when a new closed form is proved.
+
+#: report field -> the number of census classes that report it
+CENSUS_FIELDS = {"genus3": 13, "genus4": 13, "tau": 116, "rasmussen_s": 179, "minimal_r": 13}
+
+#: shape -> the number of census classes of that shape
+CENSUS_SHAPES = {"positive braid": 13, "generic, ell = 0": 103, "torus, ell < 0": 4, "other": 63}
+
+
+def _shape(report) -> str:
+    # a Garside form is a positive word exactly when its class holds one
+    if all(exp > 0 for _, exp in realize(report.garside).syllables):
+        return "positive braid"
+    mform = report.murasugi
+    if isinstance(mform, MurasugiGeneric) and mform.ell == 0:
+        return "generic, ell = 0"
+    if isinstance(mform, MurasugiTorus) and mform.ell < 0:
+        return "torus, ell < 0"
+    return "other"
+
+
+@pytest.fixture(scope="module")
+def census(sweep):
+    return [build_report(realize(form)) for form in sweep.knot_forms]
+
+
+def test_census_of_knot_classes(census):
+    """Which knot classes of length <= 10 get which invariant, pinned."""
+    assert len(census) == 183
+    for name, count in CENSUS_FIELDS.items():
+        assert sum(getattr(r, name) is not None for r in census) == count, name
+    assert sum(r.alt.exact for r in census) == 120
+    assert Counter(_shape(r) for r in census) == CENSUS_SHAPES
+    # the positive classes are exactly the ones with a reported genus
+    assert all((r.genus3 is not None) == (_shape(r) == "positive braid") for r in census)
+    _announce(f"[census] PASS: {len(census)} knot classes, field and shape counts as pinned")
+
+
+def test_alexander_reference_examples():
+    assert alexander_reference.alexander(parse("a^3 b")) == (1, -1, 1)
+    assert alexander_reference.alexander(parse("a B a B")) == (-1, 3, -1)
+    assert alexander_reference.alexander(parse("abababab")) == (1, -1, 0, 1, 0, -1, 1)
+    assert alexander_reference.alexander(parse("a b")) == (1,)
+
+
+def test_census_genus_bounds(census):
+    """span Delta <= 2 g3 (equal on positive braids, which are fibred), and
+    the concordance values within the reported 4-genus."""
+    for r in census:
+        delta = alexander_reference.alexander(r.word)
+        assert delta == delta[::-1], r.word  # symmetric, as on every knot
+        if r.genus3 is not None:
+            assert len(delta) - 1 <= 2 * r.genus3, r.word
+        if _shape(r) == "positive braid":
+            assert len(delta) - 1 == 2 * r.genus3, r.word
+        if r.genus4 is not None:
+            assert abs(r.upsilon) <= r.genus4, r.word
+            assert r.tau is None or abs(r.tau) <= r.genus4, r.word
+            assert r.rasmussen_s is None or abs(r.rasmussen_s) <= 2 * r.genus4, r.word
+    _announce(f"[census] PASS: Alexander span and 4-genus bounds on {len(census)} classes")
