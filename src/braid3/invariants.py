@@ -1,8 +1,10 @@
 """
 Closed-form knot invariants of 3-braid closures, keyed off normal forms.
 
-Every formula here consumes a Garside or Murasugi normal form (module
-normal_form) and produces exact integers or rationals.  Values are exact
+Every formula here consumes a normal form (module normal_form) and
+produces exact integers or rationals: fdtc and homogenized upsilon read
+a Garside form, the knot invariants a Murasugi form, and upsilon either,
+for the cross-check between the two.  Values are exact
 unless explicitly an interval; absence (None) means no closed form applies
 to the form at hand, which is information, not an error.
 
@@ -107,120 +109,102 @@ def upsilon(form: GarsideForm | MurasugiForm) -> int:
     return -sign * (2 * m + j - 1)
 
 
-def _is_positive_form(form: GarsideForm | MurasugiForm) -> bool:
-    return (
-        isinstance(form, (GarsideA, GarsideB, GarsideC, GarsideD, MurasugiTorus))
-        and form.ell >= 0
+def _knot_fields(form: MurasugiForm) -> dict:
+    """Every knot field of InvariantReport, by name, on a Murasugi knot
+    form.  Each is read off three facts of the form: its upsilon, its torus
+    parameters and its positive genus (writhe - 2)/2, None where it does
+    not apply.  A generic form is positive when 2l >= Sum p: the Garside
+    form's l >= 0 carried through the conversion, as l' = l + r and Sum p
+    is 2r on case C and 2r - 1 on case D."""
+    if not isinstance(form, MurasugiForm):
+        raise TypeError(f"knot invariants expect a Murasugi form, got {form!r}")
+    ups, torus = upsilon(form), _torus(form)
+    generic = isinstance(form, MurasugiGeneric)
+    genus = None
+    if form.ell >= 0 and (not generic or 2 * form.ell >= sum(p for p, _ in form.pairs)):
+        # slice-Bennequin on a positive braid closure
+        wr = realize(form).writhe()
+        if wr % 2:
+            raise InternalInconsistencyError("odd writhe on a knot closure")
+        genus = (wr - 2) // 2
+    sig = 2 * ups if torus is None else 2 * ups - 2 * torus[2] * (torus[0] % 2)
+    s_val = provenance = None
+    if generic:
+        s_val, provenance = 2 * ups - 2 * form.ell, "alternating"
+        if form.ell > 0:
+            s_val, provenance = s_val + 2, "quasipositive-twist"
+        elif form.ell < 0:
+            s_val, provenance = s_val - 2, "quasinegative-twist"
+    elif genus is not None:
+        s_val, provenance = -2 * genus, "positive-braid"
+    if genus is not None:
+        alt = IntInterval.point(genus + ups)
+    elif torus is not None:
+        alt = IntInterval.point(torus[0])
+    else:
+        alt = IntInterval(max(abs(form.ell) - 1, 0), abs(form.ell))
+    t_val, gamma4 = derived_concordance(ups, sig)
+    return dict(
+        upsilon=ups, signature=sig, rasmussen_s=s_val, s_provenance=provenance,
+        genus3=genus, genus4=genus, tau=-ups if generic and form.ell == 0 else genus,
+        alt=alt, minimal_r=None if genus is None else alt.lo + 1,
+        ballinger_t=t_val, nonorientable_g4_lower=gamma4,
     )
 
 
-def _positive_genus(form: GarsideForm | MurasugiForm) -> int | None:
-    """g = (writhe - 2)/2 on a positive braid knot form, by slice-Bennequin;
-    None on every other form."""
-    if not _is_positive_form(form):
-        return None
-    wr = realize(form).writhe()
-    if wr % 2:
-        raise InternalInconsistencyError("odd writhe on a knot closure")
-    return (wr - 2) // 2
+# Each public knot invariant below is one field of _knot_fields: it takes a
+# Murasugi form and raises TypeError on a Garside form.
 
 
-# The invariants below are read off three facts of a knot form: upsilon,
-# the positive genus g and the torus parameters, each None where it does
-# not apply.  Each public function computes the facts of its own form; a
-# report computes them once, on its Garside form, and hands the same facts
-# to the expressions on the Murasugi form (see build_report).
-
-
-def _signature(ups: int, torus: tuple[int, int, int] | None) -> int:
-    if torus is None:
-        return 2 * ups
-    m, _, sign = torus
-    return 2 * ups - 2 * sign * (m % 2)
-
-
-def signature(form: GarsideForm | MurasugiForm) -> int:
+def signature(form: MurasugiForm) -> int:
     """Classical knot signature of the closure, sigma(T(3,2)) = -2.
 
     Read off upsilon.  Upsilon is sigma/2 on alternating knots
     (Ozsvath-Stipsicz-Szabo 2017).  That sigma = 2 upsilon on the other
-    non-torus forms is braid3's own formula, to be checked against an
-    independent Seifert-matrix signature.  On the torus knots T(3, 3m + j)
+    non-torus forms is braid3's own formula, which the tests check against
+    an independent Seifert-matrix signature.  On the torus knots T(3, 3m + j)
     with m odd, sigma is 2 further from 0.
     """
-    return _signature(upsilon(form), _torus(form))
+    return _knot_fields(form)["signature"]
 
 
-def _rasmussen(form, ups: int, genus: int | None) -> tuple[int, str] | None:
-    if isinstance(form, MurasugiGeneric):
-        s = 2 * ups - 2 * form.ell
-        if form.ell > 0:
-            return s + 2, "quasipositive-twist"
-        if form.ell < 0:
-            return s - 2, "quasinegative-twist"
-        return s, "alternating"
-    if genus is not None:
-        return -2 * genus, "positive-braid"
-    return None
-
-
-def rasmussen_s(form: GarsideForm | MurasugiForm) -> tuple[int, str] | None:
+def rasmussen_s(form: MurasugiForm) -> tuple[int, str] | None:
     """Rasmussen invariant of the closure, or None when no formula applies.
 
     Returns (value, provenance); provenance 'positive-braid' marks the
     extension s = -2g beyond the Murasugi-generic and alternating cases.
     """
-    return _rasmussen(form, upsilon(form), _positive_genus(form))
+    fields = _knot_fields(form)
+    s_val = fields["rasmussen_s"]
+    return None if s_val is None else (s_val, fields["s_provenance"])
 
 
-def _genus_tau(form, ups: int, genus: int | None) -> tuple[int | None, int | None, int] | None:
-    if genus is not None:
-        return genus, genus, genus
-    if isinstance(form, MurasugiGeneric) and form.ell == 0:
-        return None, None, -ups
-    return None
-
-
-def genus_tau(form: GarsideForm | MurasugiForm) -> tuple[int | None, int | None, int] | None:
+def genus_tau(form: MurasugiForm) -> tuple[int | None, int | None, int] | None:
     """(3-genus, 4-genus, tau) where a closed form exists.
 
     Positive braid closures get the full slice-Bennequin triple; an
     alternating closure (generic form with no twisting) determines tau
     alone.  None otherwise.
     """
-    return _genus_tau(form, upsilon(form), _positive_genus(form))
+    fields = _knot_fields(form)
+    return None if fields["tau"] is None else (fields["genus3"], fields["genus4"], fields["tau"])
 
 
-def _alternating(form, ups: int, genus: int | None, torus) -> IntInterval:
-    if genus is not None:
-        return IntInterval.point(genus + ups)
-    if torus is not None:
-        return IntInterval.point(torus[0])
-    twist = abs(form.ell + form.r if isinstance(form, (GarsideC, GarsideD)) else form.ell)
-    return IntInterval(max(twist - 1, 0), twist)
-
-
-def alternating_distances(form: GarsideForm | MurasugiForm) -> IntInterval:
+def alternating_distances(form: MurasugiForm) -> IntInterval:
     """Alternation number, dealternating number and Turaev genus.
 
     All three lie in the one interval returned: g + upsilon on positive
     braid closures, m on a mirrored torus closure -T(3, 3m + j), and
-    otherwise the two-point interval of the twisting degree.
+    otherwise the two-point interval of the twisting degree |l|.
     """
-    return _alternating(form, upsilon(form), _positive_genus(form), _torus(form))
+    return _knot_fields(form)["alt"]
 
 
-def _switches(alt: IntInterval, genus: int | None) -> int | None:
-    # one more than the alternation number, read off a positive closure
-    return None if genus is None else alt.lo + 1
-
-
-def minimal_positive_switches(form: GarsideForm | MurasugiForm) -> int | None:
+def minimal_positive_switches(form: MurasugiForm) -> int | None:
     """Minimal r so the closure is that of a^p1 b^q1 ... a^pr b^qr, all
     exponents positive: g + upsilon + 1 on positive braid closures, None
     on every other closure."""
-    ups, genus = upsilon(form), _positive_genus(form)
-    return _switches(_alternating(form, ups, genus, _torus(form)), genus)
+    return _knot_fields(form)["minimal_r"]
 
 
 def fdtc(form: GarsideForm) -> Fraction:
@@ -250,13 +234,13 @@ def derived_concordance(ups: int, sig: int) -> tuple[int, int]:
     return -2 * ups, abs(ups - sig // 2)
 
 
-def upsilon_upper_bound_slope(form: GarsideForm | MurasugiForm) -> Fraction | None:
+def upsilon_upper_bound_slope(form: MurasugiForm) -> Fraction | None:
     """Fraction(upsilon) on positive braid closures, where the cobordism
     slope bound on upsilon is tight; None otherwise.  Nothing in braid3
     calls it: it stays only while bench/pipeline.py lists it (ROADMAP
     item 1), so build no new code on it; read upsilon instead."""
-    _require_knot(form)
-    return Fraction(upsilon(form)) if _is_positive_form(form) else None
+    fields = _knot_fields(form)
+    return None if fields["genus3"] is None else Fraction(fields["upsilon"])
 
 
 class InvariantReport(Value):
@@ -301,9 +285,9 @@ def build_report(word: BraidWord) -> InvariantReport:
     Classifies into both normal forms, each certificate checked once by
     the exact oracle, evaluates every applicable invariant, and
     cross-checks the Garside-side and Murasugi-side upsilon formulas
-    against each other.  Upsilon is evaluated once per form, the positive
-    genus and the torus parameters once, and every other invariant is
-    read off them by the expression its public function uses.
+    against each other.  Upsilon is evaluated once per form, and every
+    knot field is read off the Murasugi form by _knot_fields, which each
+    public knot invariant returns one field of.
     """
     gform, gcert = garside_normal_form(word)
     mform, mcert = murasugi_from_garside(gform, gcert)
@@ -312,24 +296,11 @@ def build_report(word: BraidWord) -> InvariantReport:
     if components != 1:
         return InvariantReport(word, gform, mform, gcert, mcert, components, fdtc_value, h_upsilon)
     ups = upsilon(gform)
-    ups_m = upsilon(mform)
-    if ups != ups_m:
+    fields = _knot_fields(mform)
+    if ups != fields["upsilon"]:
         raise InternalInconsistencyError(
-            f"upsilon disagreement {ups} vs {ups_m} on {word.display()!r}"
+            f"upsilon disagreement {ups} vs {fields['upsilon']} on {word.display()!r}"
         )
-    # the Murasugi form is a torus form exactly when the Garside form is case
-    # B, with the same ell, torus parameters and writhe, so one is positive
-    # exactly when the other is; a positive Garside form C or D gives a
-    # generic Murasugi form, whose s does not read the genus.  So the Garside
-    # facts stand for the Murasugi form's, and genus_tau(gform) or
-    # genus_tau(mform) is the triple below
-    genus, torus = _positive_genus(gform), _torus(gform)
-    sig = _signature(ups, torus)
-    s_val, provenance = _rasmussen(mform, ups, genus) or (None, None)
-    g3, g4, tau = _genus_tau(mform, ups, genus) or (None, None, None)
-    alt = _alternating(gform, ups, genus, torus)
-    t_val, gamma4 = derived_concordance(ups, sig)
     return InvariantReport(
-        word, gform, mform, gcert, mcert, components, fdtc_value, h_upsilon, ups, sig,
-        s_val, provenance, g3, g4, tau, alt, _switches(alt, genus), t_val, gamma4,
+        word, gform, mform, gcert, mcert, components, fdtc_value, h_upsilon, **fields
     )

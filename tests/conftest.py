@@ -6,6 +6,13 @@ from braid3.words import BraidWord
 
 LETTER_RUNS = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
 
+#: q -> the signature of the torus knot T(3, q), the closure of (ab)^q
+KNOWN_TORUS_SIGNATURES = {
+    # classical values; the recursion sigma(T(3,q+6)) = sigma(T(3,q)) - 8
+    # pins the whole family from the 8_19/10_124 values
+    2: -2, 4: -6, 5: -8, 7: -8, 8: -10, 10: -14, 11: -16, 13: -16, 14: -18,
+}
+
 
 def reduced_words(max_len: int):
     """All freely reduced words over a, a^-1, b, b^-1 of length <= max_len.

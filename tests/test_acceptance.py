@@ -43,6 +43,7 @@ from braid3.invariants import (
     upsilon,
 )
 from braid3.normal_form import (
+    GarsideB,
     GarsideC,
     GarsideD,
     InternalInconsistencyError,
@@ -81,6 +82,10 @@ class SweepStats:
     sigma_generic_failures: list = field(default_factory=list)
     sigma_gap_failures: list = field(default_factory=list)
     genus_bound_failures: list = field(default_factory=list)
+    # knots whose Murasugi form reports a positive genus where the Garside
+    # form is not positive (l >= 0 on case B, C or D), or the reverse
+    positivity_mismatches: list = field(default_factory=list)
+    positive_knots: int = 0  # in the exhaustive set
     mirror_failures: list = field(default_factory=list)
     # word-key -> (upsilon | None, signature | None, fdtc)
     values: dict = field(default_factory=dict)
@@ -124,9 +129,13 @@ def _examine(word: BraidWord, stats: SweepStats, record: bool):
             stats.sigma_generic_failures.append(word.display())
         if abs(ups - sig // 2) > 1:
             stats.sigma_gap_failures.append(word.display())
-        gt = genus_tau(gform)
+        gt = genus_tau(mform)
         if gt is not None and gt[1] is not None and abs(ups) > gt[1]:
             stats.genus_bound_failures.append(word.display())
+        positive = gt is not None and gt[0] is not None
+        if positive != (isinstance(gform, (GarsideB, GarsideC, GarsideD)) and gform.ell >= 0):
+            stats.positivity_mismatches.append(word.display())
+        stats.positive_knots += record and positive
     if record:
         stats.values[_key(word)] = (ups, sig, omega)
         if ups is not None:
@@ -226,7 +235,7 @@ def test_criterion_3_positive_alternating_identity():
         word = realize(form)
         if not word.is_knot():
             continue
-        canon, _ = garside_normal_form(word)
+        canon, _ = murasugi_from_garside(*garside_normal_form(word))
         expect = form.r + form.ell - 1
         dist = alternating_distances(canon)
         g, _, _ = genus_tau(canon)
@@ -237,7 +246,7 @@ def test_criterion_3_positive_alternating_identity():
     assert checked > 3000
 
     for q, expect in ((4, 1), (5, 1)):
-        form, _ = garside_normal_form(parse("ab") ** q)
+        form, _ = murasugi_from_garside(*garside_normal_form(parse("ab") ** q))
         dist = alternating_distances(form)
         assert dist.exact and dist.lo == expect
     _announce(f"[criterion 3] PASS: alternating-distance identity on {checked} positive knots")
@@ -348,9 +357,14 @@ def test_criterion_8_structural_properties(sweep):
     assert sweep.sigma_generic_failures == []
     assert sweep.sigma_gap_failures == []
     assert sweep.genus_bound_failures == []
+    # the Murasugi form's positivity, l >= 0 on a torus form and 2l >= Sum p
+    # on a generic one, is the Garside form's l >= 0 on every sweep knot
+    assert sweep.positivity_mismatches == []
+    assert sweep.positive_knots == 9438
     _announce(
         "[criterion 8] PASS: mirror antisymmetry, sigma = 2*upsilon on generic "
-        "knots, |upsilon - sigma/2| <= 1 and |upsilon| <= g4 across the sweep"
+        "knots, |upsilon - sigma/2| <= 1, |upsilon| <= g4 and one positivity "
+        "rule on both forms across the sweep"
     )
 
 

@@ -23,6 +23,7 @@ from braid3.normal_form import (
     GarsideForm,
     InternalInconsistencyError,
     garside_normal_form,
+    murasugi_from_garside,
     realize,
 )
 from braid3.words import GEN_A, GEN_B, BraidWord, _word, parse
@@ -248,9 +249,9 @@ class TestSlopeBoundReproduction:
             word = realize(form)
             if not word.is_knot():
                 continue
-            canon, _ = garside_normal_form(word)
+            canon, gcert = garside_normal_form(word)
             ups = upsilon(canon)
-            g = genus_tau(canon)[0]
+            g = genus_tau(murasugi_from_garside(canon, gcert)[0])[0]
             cert = torus_sum_cobordism(word)
             r_word = len(cert.start.syllables) // 2
             assert ups <= -g + r_word - 1
@@ -309,10 +310,10 @@ class TestAlternatingGenusBounds:
 
     def witness_certificate(self, form):
         witness = _witness_word(form)
-        canonical, _ = garside_normal_form(realize(form))
+        canonical, gcert = garside_normal_form(realize(form))
         assert garside_normal_form(witness)[0] == canonical
         cert = torus_sum_cobordism(witness)
-        pairs = minimal_positive_switches(form)
+        pairs = minimal_positive_switches(murasugi_from_garside(canonical, gcert)[0])
         assert len(cert.start.syllables) == 2 * pairs
         assert Fraction(pairs - 1, 2) <= cert.genus
         assert verify(cert)

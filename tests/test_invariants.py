@@ -42,13 +42,18 @@ from braid3.normal_form import (
 )
 from braid3.words import BraidWord, delta_power, parse
 
-from conftest import random_word, reduced_words
+from conftest import KNOWN_TORUS_SIGNATURES, random_word, reduced_words
 
-#: the invariants defined on knot closures only
-KNOT_ONLY_INVARIANTS = (
-    upsilon, signature, rasmussen_s, genus_tau, alternating_distances,
-    minimal_positive_switches, upsilon_upper_bound_slope,
+#: the knot invariants that read a Murasugi form and refuse a Garside one
+MURASUGI_ONLY_INVARIANTS = (
+    signature, rasmussen_s, genus_tau, alternating_distances, minimal_positive_switches,
+    upsilon_upper_bound_slope,
 )
+
+#: the invariants defined on knot closures only; upsilon reads either family
+KNOT_ONLY_INVARIANTS = (upsilon, *MURASUGI_ONLY_INVARIANTS)
+
+GARSIDE_SHAPES = (GarsideA, GarsideB, GarsideC, GarsideD)
 
 
 def _flag(value) -> str:
@@ -68,6 +73,10 @@ def torus_word(q: int) -> BraidWord:
 
 def garside(w) -> object:
     return garside_normal_form(w)[0]
+
+
+def murasugi(w) -> object:
+    return murasugi_normal_form(w)[0]
 
 
 class TestUpsilon:
@@ -118,13 +127,6 @@ class TestUpsilon:
             upsilon(GarsideB(0, 2))
 
 
-KNOWN_TORUS_SIGNATURES = {
-    # classical values; the recursion sigma(T(3,q+6)) = sigma(T(3,q)) - 8
-    # pins the whole family from the 8_19/10_124 values
-    2: -2, 4: -6, 5: -8, 7: -8, 8: -10, 10: -14, 11: -16, 13: -16, 14: -18,
-}
-
-
 class TestTheoremChecks:
     # on a knot form each check holds; with the knot test passed over, a
     # link form reaches it and it raises rather than return a wrong value
@@ -135,16 +137,17 @@ class TestTheoremChecks:
             upsilon(MurasugiGeneric(0, ((1, 2),)))
 
     def test_odd_writhe(self, monkeypatch):
-        monkeypatch.setattr(braid3.invariants, "_require_knot", lambda form: None)
+        # a positive Murasugi knot form whose word reports an odd writhe
+        monkeypatch.setattr(BraidWord, "writhe", lambda word: 3)
         with pytest.raises(InternalInconsistencyError, match="odd writhe on a knot closure"):
-            genus_tau(GarsideB(0, 2))
+            genus_tau(MurasugiTorus(0, "ab"))
 
 
 class TestSignature:
     def test_torus_family_against_classical_table(self):
         for q, sig in KNOWN_TORUS_SIGNATURES.items():
-            assert signature(garside(torus_word(q))) == sig, q
-            assert signature(garside(torus_word(q).mirror())) == -sig, q
+            assert signature(murasugi(torus_word(q))) == sig, q
+            assert signature(murasugi(torus_word(q).mirror())) == -sig, q
 
     def test_alternating_trefoil(self):
         form, _ = murasugi_normal_form(parse("A b^3"))
@@ -152,8 +155,8 @@ class TestSignature:
         assert signature(form) == -2
 
     def test_eight_crossing_pair(self):
-        assert signature(garside(parse("a^3 B a^-3 B"))) == 0
-        assert signature(garside(parse("a^3 b A^2 b^2"))) == -2
+        assert signature(murasugi(parse("a^3 B a^-3 B"))) == 0
+        assert signature(murasugi(parse("a^3 b A^2 b^2"))) == -2
 
     def test_twice_upsilon_on_generic_forms(self, rng):
         for _ in range(300):
@@ -169,7 +172,7 @@ class TestSignature:
             w = random_word(rng, rng.randrange(0, 14))
             if not w.is_knot():
                 continue
-            form = garside(w)
+            form = murasugi(w)
             assert abs(upsilon(form) - signature(form) // 2) <= 1
 
 
@@ -190,7 +193,8 @@ class TestRasmussen:
                 assert rasmussen_s(mform)[0] == signature(mform)
 
     def test_positive_extension_consistent_with_twist_formula(self, rng):
-        # positive forms also have a Murasugi-side value; they must agree
+        # a positive generic form takes s from the twist formula; it must be
+        # the positive-braid value -2g
         for _ in range(100):
             r = rng.randint(1, 3)
             pairs = tuple((rng.randint(2, 5), rng.randint(2, 5)) for _ in range(r))
@@ -199,21 +203,20 @@ class TestRasmussen:
             if not w.is_knot():
                 continue
             mform, _ = murasugi_normal_form(w)
-            s_pos = rasmussen_s(garside(w))
             s_twist = rasmussen_s(mform)
-            assert s_pos is not None and s_twist is not None
-            assert s_pos[0] == s_twist[0]
+            assert s_twist is not None
+            assert s_twist[0] == -2 * genus_tau(mform)[0]
 
     def test_mirror_torus_has_no_formula(self):
-        assert rasmussen_s(garside(torus_word(-4))) is None
+        assert rasmussen_s(murasugi(torus_word(-4))) is None
 
 
 class TestGenusTau:
     def test_positive_torus(self):
-        assert genus_tau(garside(torus_word(4))) == (3, 3, 3)
+        assert genus_tau(murasugi(torus_word(4))) == (3, 3, 3)
 
     def test_granny(self):
-        assert genus_tau(garside(parse("a^3 b^3"))) == (2, 2, 2)
+        assert genus_tau(murasugi(parse("a^3 b^3"))) == (2, 2, 2)
 
     def test_alternating_tau_only(self):
         mform, _ = murasugi_normal_form(parse("A b^3"))
@@ -221,7 +224,8 @@ class TestGenusTau:
 
     def test_knot_test_and_genus_agree_with_realized_word(self):
         # both come from the form's tail; D^2 is pure and D has three crossings.
-        # Every knot-only invariant rejects the link forms.
+        # Every knot-only invariant rejects the link forms, and every one but
+        # upsilon rejects every Garside form, link or knot, by its family first
         shapes = (
             GarsideA(0, 3), GarsideB(0, 1), GarsideB(0, 2), GarsideB(0, 3),
             GarsideC(0, ((2, 3),)), GarsideC(0, ((3, 3), (2, 2))),
@@ -234,11 +238,18 @@ class TestGenusTau:
             for ell in range(-3, 4):
                 form = type(shape)(ell, *(getattr(shape, f) for f in shape._fields[1:]))
                 word = realize(form)
+                garside_shape = isinstance(form, GARSIDE_SHAPES)
+                if garside_shape:
+                    for invariant in MURASUGI_ONLY_INVARIANTS:
+                        with pytest.raises(TypeError, match=re.escape(repr(form))):
+                            invariant(form)
                 if not word.is_knot():
                     links += 1
-                    for invariant in KNOT_ONLY_INVARIANTS:
+                    for invariant in (upsilon,) if garside_shape else KNOT_ONLY_INVARIANTS:
                         with pytest.raises(NotAKnotError):
                             invariant(form)
+                    continue
+                if garside_shape:
                     continue
                 gt = genus_tau(form)
                 if gt is not None and gt[0] is not None:
@@ -250,7 +261,7 @@ class TestGenusTau:
             w = random_word(rng, rng.randrange(0, 12))
             if not w.is_knot():
                 continue
-            form = garside(w)
+            form = murasugi(w)
             gt = genus_tau(form)
             if gt is not None and gt[1] is not None:
                 assert abs(upsilon(form)) <= gt[1]
@@ -259,13 +270,13 @@ class TestGenusTau:
 class TestAlternatingDistances:
     def test_torus_exact(self):
         for q, expect in ((4, 1), (5, 1), (7, 2), (8, 2)):
-            assert alternating_distances(garside(torus_word(q))) == IntInterval.point(expect)
+            assert alternating_distances(murasugi(torus_word(q))) == IntInterval.point(expect)
 
     def test_granny_alternating(self):
-        assert alternating_distances(garside(parse("a^3 b^3"))) == IntInterval.point(0)
+        assert alternating_distances(murasugi(parse("a^3 b^3"))) == IntInterval.point(0)
 
     def test_eight_twenty_interval(self):
-        dist = alternating_distances(garside(parse("a^3 B a^-3 B")))
+        dist = alternating_distances(murasugi(parse("a^3 B a^-3 B")))
         assert (dist.lo, dist.hi) == (0, 1)
 
     def test_positive_identity_alt_equals_genus_plus_upsilon(self, rng):
@@ -276,7 +287,7 @@ class TestAlternatingDistances:
             w = realize(form)
             if not w.is_knot():
                 continue
-            canon = garside(w)
+            canon = murasugi(w)
             dist = alternating_distances(canon)
             g, _, _ = genus_tau(canon)
             assert dist == IntInterval.point(g + upsilon(canon))
@@ -286,20 +297,20 @@ class TestAlternatingDistances:
             w = random_word(rng, rng.randrange(0, 13))
             if not w.is_knot():
                 continue
-            dist = alternating_distances(garside(w))
+            dist = alternating_distances(murasugi(w))
             assert isinstance(dist, IntInterval) and dist.lo <= dist.hi
 
 
 class TestMinimalSwitches:
     def test_examples(self):
-        assert minimal_positive_switches(garside(torus_word(4))) == 2
-        assert minimal_positive_switches(garside(parse("a^3 b^3"))) == 1
+        assert minimal_positive_switches(murasugi(torus_word(4))) == 2
+        assert minimal_positive_switches(murasugi(parse("a^3 b^3"))) == 1
         # witness word for T(3,4) with two switch pairs
         assert garside(parse("a^3 b a^3 b")) == garside(torus_word(4))
 
     def test_torus_family(self):
         for ell in range(0, 3):
-            form = GarsideB(ell, 1)
+            form = MurasugiTorus(ell, "ab")
             if realize(form).is_knot():
                 assert minimal_positive_switches(form) == ell + 1
 
@@ -310,11 +321,12 @@ class TestMinimalSwitches:
             form = GarsideC(rng.randint(0, 2), pairs)
             if not realize(form).is_knot():
                 continue
+            form = murasugi(realize(form))
             g, _, _ = genus_tau(form)
             assert minimal_positive_switches(form) == g + upsilon(form) + 1
 
     def test_absent_for_non_positive(self):
-        assert minimal_positive_switches(garside(parse("a^3 B a^-3 B"))) is None
+        assert minimal_positive_switches(murasugi(parse("a^3 B a^-3 B"))) is None
 
 
 class TestQuasimorphisms:
@@ -390,10 +402,10 @@ class TestQuasimorphisms:
 
 class TestDerivedConcordance:
     def test_examples(self):
-        form = garside(torus_word(4))
+        form = murasugi(torus_word(4))
         t, g4 = derived_concordance(upsilon(form), signature(form))
         assert (t, g4) == (4, 1)
-        form = garside(parse("a^3 B a^-3 B"))
+        form = murasugi(parse("a^3 B a^-3 B"))
         assert derived_concordance(upsilon(form), signature(form)) == (0, 0)
 
     def test_generic_knots_have_zero_gap(self, rng):
@@ -409,9 +421,9 @@ class TestDerivedConcordance:
 
 class TestSlopeBound:
     def test_examples(self):
-        assert upsilon_upper_bound_slope(garside(parse("a^3 b^3"))) == -2
-        assert upsilon_upper_bound_slope(GarsideD(0, (), 3)) == -2
-        assert upsilon_upper_bound_slope(GarsideC(1, ((3, 3),))) == -4
+        assert upsilon_upper_bound_slope(murasugi(parse("a^3 b^3"))) == -2
+        assert upsilon_upper_bound_slope(murasugi(realize(GarsideD(0, (), 3)))) == -2
+        assert upsilon_upper_bound_slope(murasugi(realize(GarsideC(1, ((3, 3),))))) == -4
 
     def test_matches_upsilon_on_positive_knots(self, rng):
         for _ in range(100):
@@ -421,10 +433,11 @@ class TestSlopeBound:
             )
             if not realize(form).is_knot():
                 continue
+            form = murasugi(realize(form))
             assert upsilon_upper_bound_slope(form) == upsilon(form)
 
     def test_absent_on_non_positive(self):
-        assert upsilon_upper_bound_slope(garside(parse("a^3 B a^-3 B"))) is None
+        assert upsilon_upper_bound_slope(murasugi(parse("a^3 B a^-3 B"))) is None
 
 
 # The expressions each invariant had before every one of them read upsilon,
@@ -499,26 +512,33 @@ def _ref_minimal_switches(form) -> int | None:
     return None
 
 
-def _check_against_references(form) -> None:
-    assert upsilon(form) == _ref_upsilon(form), form
-    assert signature(form) == _ref_signature(form), form
-    if isinstance(form, MurasugiGeneric):
-        assert rasmussen_s(form) == _ref_generic_rasmussen_s(form), form
-        if form.ell == 0:
-            assert genus_tau(form) == (None, None, -_ref_signature(form) // 2), form
-    if isinstance(form, (GarsideB, MurasugiTorus)):
-        ell = form.ell
+def _check_against_references(gform, mform) -> None:
+    """Both forms of one knot: upsilon on each, and the Murasugi form's
+    knot invariants against the references of the Garside form, which read
+    its positivity off l >= 0 and its twisting degree off l + r."""
+    for form in (gform, mform):
+        assert upsilon(form) == _ref_upsilon(form), form
+    assert signature(mform) == _ref_signature(mform) == _ref_signature(gform), mform
+    if isinstance(mform, MurasugiGeneric):
+        assert rasmussen_s(mform) == _ref_generic_rasmussen_s(mform), mform
+        if mform.ell == 0:
+            assert genus_tau(mform) == (None, None, -_ref_signature(mform) // 2), mform
+    if isinstance(gform, GarsideB):
+        ell = gform.ell
         expected = IntInterval.point(ell if ell >= 0 else -ell - 1)
-        assert alternating_distances(form) == expected, form
-    if isinstance(form, (GarsideC, GarsideD)):
-        twice = 2 * form.r - 4 * form.ell - _ref_garside_total(form)
-        assert homogenized_upsilon(form) == Fraction(twice, 2), form
-        twist = form.ell + form.r
-        expected = IntInterval.point(twist - 1) if form.ell >= 0 else _ref_twist_interval(twist)
-        assert alternating_distances(form) == expected, form
-    if isinstance(form, MurasugiGeneric):
-        assert alternating_distances(form) == _ref_twist_interval(form.ell), form
-    assert minimal_positive_switches(form) == _ref_minimal_switches(form), form
+        assert alternating_distances(mform) == expected, mform
+    if isinstance(gform, (GarsideC, GarsideD)):
+        twice = 2 * gform.r - 4 * gform.ell - _ref_garside_total(gform)
+        assert homogenized_upsilon(gform) == Fraction(twice, 2), gform
+        twist = gform.ell + gform.r
+        expected = IntInterval.point(twist - 1) if gform.ell >= 0 else _ref_twist_interval(twist)
+        assert alternating_distances(mform) == expected, mform
+    assert minimal_positive_switches(mform) == _ref_minimal_switches(gform), mform
+
+
+def _both_forms(word) -> tuple:
+    gform, gcert = garside_normal_form(word)
+    return gform, murasugi_from_garside(gform, gcert)[0]
 
 
 class TestAgainstReferenceExpressions:
@@ -528,18 +548,16 @@ class TestAgainstReferenceExpressions:
             if not w.is_knot():
                 continue
             knots += 1
-            gform, gcert = garside_normal_form(w)
-            mform, _ = murasugi_from_garside(gform, gcert)
-            _check_against_references(gform)
-            _check_against_references(mform)
+            _check_against_references(*_both_forms(w))
         assert knots == 6512
 
     def test_torus_families(self):
         # every one of these closes to a knot: upsilon raises on a link
         for ell in range(-40, 41):
-            for form in (GarsideB(ell, 1), GarsideB(ell, 3),
-                         MurasugiTorus(ell, "ab"), MurasugiTorus(ell, "abab")):
-                _check_against_references(form)
+            for p, variant in ((1, "ab"), (3, "abab")):
+                gform, mform = GarsideB(ell, p), MurasugiTorus(ell, variant)
+                assert _both_forms(realize(gform)) == (gform, mform)
+                _check_against_references(gform, mform)
 
     def test_random_c_d_and_generic_forms(self, rng):
         knots = 0
@@ -551,7 +569,7 @@ class TestAgainstReferenceExpressions:
                          MurasugiGeneric(ell, pairs)):
                 if realize(form).is_knot():
                     knots += 1
-                    _check_against_references(form)
+                    _check_against_references(*_both_forms(realize(form)))
         assert knots > 400
 
 
@@ -637,9 +655,9 @@ class TestReport:
         assert all(realize(f) is t for f, t in zip((r.garside, r.murasugi), words))
         assert len(computed) == 2 and all(c is x for c, x in zip(computed, words))
         assert not any(c is w for c in computed)
-        for form in (r.garside, r.murasugi):
-            for invariant in KNOT_ONLY_INVARIANTS:
-                invariant(form)
+        upsilon(r.garside)
+        for invariant in KNOT_ONLY_INVARIANTS:
+            invariant(r.murasugi)
         assert len(computed) == 2
         link = GarsideA(0, 2)
         for _ in range(2):
@@ -648,8 +666,8 @@ class TestReport:
         assert len(computed) == 3 and computed[2] is realize(link)
         # the genus of a positive form and the display of either form read the
         # word the form was made with
-        assert genus_tau(r.garside) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
-        assert rasmussen_s(r.garside) == (-8, "positive-braid")
+        assert genus_tau(r.murasugi) == (r.genus3, r.genus4, r.tau) == (4, 4, 4)
+        assert rasmussen_s(r.murasugi) == (-8, "quasipositive-twist")
         assert [form_display(f) for f in (r.garside, r.murasugi)] == [
             "a^3 b^2 a^2 b^3", "D^4 A b A^3 b",
         ]
@@ -681,22 +699,24 @@ class TestReport:
         assert knots == 6512
 
     def test_report_fields_are_the_public_functions(self):
-        # the report reads each field off one upsilon, genus and torus
-        # evaluation; the public functions evaluate their own, and agree
+        # the report reads every knot field off its Murasugi form, and each
+        # public knot invariant of that form is one of those fields
         for w in reduced_words(8):
             if not w.is_knot():
                 continue
             r = build_report(w)
-            g, m = r.garside, r.murasugi
+            m = r.murasugi
             sig = signature(m)
+            assert r.upsilon == upsilon(m) == upsilon(r.garside), w
             assert r.signature == sig, w
             assert (r.rasmussen_s, r.s_provenance) == (rasmussen_s(m) or (None, None)), w
-            assert (r.genus3, r.genus4, r.tau) == (
-                genus_tau(g) or genus_tau(m) or (None, None, None)), w
-            assert r.alt == alternating_distances(g), w
-            assert r.minimal_r == minimal_positive_switches(g), w
+            assert (r.genus3, r.genus4, r.tau) == (genus_tau(m) or (None, None, None)), w
+            assert r.alt == alternating_distances(m), w
+            assert r.minimal_r == minimal_positive_switches(m), w
+            slope = upsilon_upper_bound_slope(m)
+            assert slope == (None if r.genus3 is None else r.upsilon), w
             assert (r.ballinger_t, r.nonorientable_g4_lower) == derived_concordance(
-                upsilon(g), sig), w
+                upsilon(m), sig), w
 
     def test_components_are_read_on_the_garside_word(self):
         # conjugate braids have conjugate permutations, so the Garside word's
@@ -717,14 +737,12 @@ class TestReport:
             made = {*form._fields, "_word"}
             assert set(vars(form)) == made, form
             word = realize(form)
-            for invariant in KNOT_ONLY_INVARIANTS:
+            garside_shape = isinstance(form, GARSIDE_SHAPES)
+            for invariant in (upsilon, *garside_only) if garside_shape else KNOT_ONLY_INVARIANTS:
                 try:
                     invariant(form)
                 except NotAKnotError:
                     assert not word.is_knot()
-            if isinstance(form, (GarsideA, GarsideB, GarsideC, GarsideD)):
-                for invariant in garside_only:
-                    invariant(form)
             form_display(form)
             assert realize(form) is word and set(vars(form)) == made, form
 
